@@ -1,20 +1,17 @@
 """Observability-overhead guard for the repro.observe tier.
 
 The acceptance bound from the incident-reporting work: running the
-full pipeline -- telemetry hub rollups, burn-rate/anomaly evaluation
-and the kernel self-profiler -- on a 1000-host fleet must cost less
-than 5% wall time over the same fleet without it, and a constructed-
-but-stopped pipeline must cost ~0 (the only residue is the kernel's
-hoisted ``profiler is None`` check, shared with the tracer guard in
-``bench_trace_overhead``).
+full pipeline -- telemetry hub rollups and burn-rate/anomaly
+evaluation -- on a 1000-host fleet must cost less than 5% wall time
+over the same fleet without it, and a constructed-but-stopped pipeline
+must cost ~0 (it schedules nothing).
 
 Three interleaved arms over identical fleets (same seed, same events):
 
 - **base**    -- fleet + tracer, no observe tier at all;
-- **off**     -- hub and alert manager constructed but never started,
-  no profiler installed;
+- **off**     -- hub and alert manager constructed but never started;
 - **enabled** -- hub started (30 s rollups), alert manager with an
-  anomaly detector on the agent wake rate, kernel profiler installed.
+  anomaly detector on the agent wake rate.
 
 The tracer is on in *all* arms so the hub has a live registry to
 snapshot and the measured delta isolates the observe tier itself.
@@ -28,7 +25,7 @@ import os
 import time
 
 from repro.experiments.wakes import build_fleet
-from repro.observe import AlertManager, TelemetryHub, install_profiler
+from repro.observe import AlertManager, TelemetryHub
 from repro.trace import install_tracer
 
 from conftest import emit
@@ -47,13 +44,12 @@ def _arm(n_hosts: int, window: float, mode: str) -> dict:
     tier, run the window, and report wall seconds + witness counts."""
     sim, dc, suites = build_fleet(n_hosts, "fixed", seed=0)
     install_tracer(sim)
-    hub = mgr = profiler = None
+    hub = mgr = None
     if mode in ("off", "enabled"):
         hub = TelemetryHub(sim, interval=_INTERVAL)
         mgr = AlertManager(sim, hub)
         mgr.add_detector("metric/agent.runs/rate")
     if mode == "enabled":
-        profiler = install_profiler(sim)
         hub.start()
         hub.watch_counter("agent.runs")
     before = sim.events_processed
@@ -66,8 +62,6 @@ def _arm(n_hosts: int, window: float, mode: str) -> dict:
         "events": sim.events_processed - before,
         "ticks": 0 if hub is None else hub.ticks,
         "series": 0 if hub is None else len(hub.names()),
-        "profiled": 0 if profiler is None else profiler.total_events,
-        "profiler": profiler,
     }
 
 
@@ -107,20 +101,15 @@ def test_observe_overhead_under_5pct(benchmark, quick):
         f"({base['events']} events)",
         f"  constructed, stopped    {off['wall'] * 1e3:9.1f} ms  "
         f"({(off_ratio - 1) * 100:+.1f}%)",
-        f"  hub+alerts+profiler     {enabled['wall'] * 1e3:9.1f} ms  "
+        f"  hub+alerts              {enabled['wall'] * 1e3:9.1f} ms  "
         f"({(on_ratio - 1) * 100:+.1f}%, {enabled['ticks']} rollups, "
         f"{enabled['series']} series)",
     ]
-    prof = enabled["profiler"]
-    from repro.observe import format_profile
-    lines += ["", format_profile(prof, top=8)]
     emit("\n".join(lines))
 
     # the pipeline actually ran in the enabled arm
     assert enabled["ticks"] >= window / _INTERVAL - 1
     assert enabled["series"] > 0
-    # the profiler saw every kernel event in the window
-    assert enabled["profiled"] == enabled["events"]
     # a stopped pipeline scheduled nothing and recorded nothing
     assert off["ticks"] == 0 and off["events"] == base["events"]
 
@@ -147,11 +136,6 @@ def test_observe_overhead_under_5pct(benchmark, quick):
         "events": base["events"],
         "rollup_ticks": enabled["ticks"],
         "series": enabled["series"],
-        "profiled_events": enabled["profiled"],
-        "profile_top": [
-            {"owner": owner, "wall_s": round(wall, 4), "events": events}
-            for owner, wall, events, _ in prof.report()[:8]
-        ],
     }
     path = os.path.join(os.path.dirname(__file__), "BENCH_observe.json")
     with open(path, "w") as fh:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.process import SimProc
+from repro.persist.declared import Declared, EXTRA, EnumValue, HeapToken
 
 __all__ = ["AppState", "ProcessSpec", "StartupStep", "Application"]
 
@@ -62,8 +63,16 @@ class StartupStep:
     duration: float
 
 
-class Application:
+class Application(Declared):
     """Base class for every simulated application."""
+
+    #: lifecycle state; subclasses add their rider fields under "extra"
+    #: through ``__extra_state__``
+    __state__ = (("state", EnumValue(AppState)), "config_ok", "data_ok",
+                 "started_at", "crash_count", "restart_count",
+                 ("startup_event", "_startup_event",
+                  HeapToken("_finish_start")),
+                 ("extra", EXTRA))
 
     app_type = "generic"
 
@@ -266,9 +275,6 @@ class Application:
             self._startup_event.cancel()
             self._startup_event = None
 
-    def expected_processes(self) -> List[ProcessSpec]:
-        return list(self.process_specs)
-
     def processes_present(self) -> bool:
         """Do all expected daemons exist in the process table?  (What a
         naive ps-based check sees -- true even when HUNG.)"""
@@ -322,39 +328,22 @@ class Application:
     # -- persistence ------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Lifecycle state plus process links (as pids into the host's
-        already-restored table).  Subclasses contribute via
-        :meth:`_persist_extra`."""
-        ev = self._startup_event if (self._startup_event is not None
-                                     and self._startup_event.alive) else None
+        """Declared state plus process links (as pids into the host's
+        already-restored table)."""
+        state = super().snapshot_state()
         last = self.state_changed.last_value
-        return {
-            "state": self.state.value,
-            "config_ok": self.config_ok,
-            "data_ok": self.data_ok,
-            "proc_pids": [p.pid for p in self.procs],
-            "started_at": self.started_at,
-            "crash_count": self.crash_count,
-            "restart_count": self.restart_count,
-            "state_changed": [
-                self.state_changed.fire_count,
-                last.value if isinstance(last, AppState) else last],
-            "startup_event": ([ev.time, ev.priority, ev.seq]
-                              if ev is not None else None),
-            "extra": self._persist_extra(),
-        }
+        state["proc_pids"] = [p.pid for p in self.procs]
+        state["state_changed"] = [
+            self.state_changed.fire_count,
+            last.value if isinstance(last, AppState) else last]
+        return state
 
     def restore_state(self, state: dict) -> None:
         """Must run after the owning host restored its process table --
         process links are re-established by pid."""
-        self.state = AppState(state["state"])
-        self.config_ok = bool(state["config_ok"])
-        self.data_ok = bool(state["data_ok"])
-        self.started_at = state["started_at"]
-        self.crash_count = int(state["crash_count"])
-        self.restart_count = int(state["restart_count"])
+        super().restore_state(state)
         fire_count, last = state["state_changed"]
-        self.state_changed.fire_count = int(fire_count)
+        self.state_changed.fire_count = fire_count
         try:
             self.state_changed.last_value = AppState(last)
         except ValueError:
@@ -368,25 +357,6 @@ class Application:
                     f"from {self.host.name}'s restored table")
             proc.owner = self
             self.procs.append(proc)
-        self._cancel_startup()
-        tok = state.get("startup_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._startup_event = self.sim.schedule_exact(
-                t, prio, seq, self._finish_start)
-        self._restore_extra(state["extra"])
-
-    def _persist_extra(self) -> dict:
-        """Subclass state rider (see :class:`repro.apps.database.Database`)."""
-        return {}
-
-    def _restore_extra(self, extra: dict) -> None:
-        pass
-
-    def claimed_seqs(self) -> List[int]:
-        if self._startup_event is not None and self._startup_event.alive:
-            return [self._startup_event.seq]
-        return []
 
     def serve_batch(self, n: int) -> Tuple[int, int, float]:
         """Serve an aggregated batch of ``n`` user requests.

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
+from repro.persist.declared import DICT, HeapToken
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.batch.jobs import BatchJob
@@ -28,6 +29,11 @@ _DB_PORTS = {"oracle": 1521, "sybase": 4100}
 
 class Database(Application):
     """A simulated relational database server."""
+
+    __extra_state__ = (("connected_users", DICT), "checkpoints",
+                       "transactions", "backup_running", "jobs_crashed_total",
+                       ("backup_event", "_backup_event",
+                        HeapToken("_finish_backup")))
 
     app_type = "database"
 
@@ -172,48 +178,6 @@ class Database(Application):
         if self.backup_running:
             self.backup_running = False
             self.host.add_io_demand(-0.5)
-
-    # -- persistence ------------------------------------------------------------------
-
-    def _persist_extra(self) -> dict:
-        if self.active_jobs:
-            # batch jobs are generator-driven; a checkpoint barrier must
-            # not land while any are attached (see repro.persist)
-            raise RuntimeError(
-                f"{self.name}: cannot snapshot with active batch jobs")
-        ev = self._backup_event if (self._backup_event is not None
-                                    and self._backup_event.alive) else None
-        return {
-            "connected_users": dict(self.connected_users),
-            "checkpoints": self.checkpoints,
-            "transactions": self.transactions,
-            "backup_running": self.backup_running,
-            "jobs_crashed_total": self.jobs_crashed_total,
-            "backup_event": ([ev.time, ev.priority, ev.seq]
-                             if ev is not None else None),
-        }
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.connected_users = {u: float(t)
-                                for u, t in extra["connected_users"].items()}
-        self.checkpoints = int(extra["checkpoints"])
-        self.transactions = int(extra["transactions"])
-        self.backup_running = bool(extra["backup_running"])
-        self.jobs_crashed_total = int(extra["jobs_crashed_total"])
-        if self._backup_event is not None:
-            self._backup_event.cancel()
-            self._backup_event = None
-        tok = extra.get("backup_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._backup_event = self.sim.schedule_exact(
-                t, prio, seq, self._finish_backup)
-
-    def claimed_seqs(self):
-        seqs = super().claimed_seqs()
-        if self._backup_event is not None and self._backup_event.alive:
-            seqs.append(self._backup_event.seq)
-        return seqs
 
     def db_metrics(self) -> Dict[str, float]:
         """The ten §3.6 database measurements, as one snapshot."""

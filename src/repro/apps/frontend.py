@@ -22,6 +22,8 @@ __all__ = ["FrontendApp"]
 class FrontendApp(Application):
     """An analyst-facing GUI application server."""
 
+    __extra_state__ = ("queries_served", "sessions")
+
     app_type = "frontend"
 
     def __init__(self, host, name: str, *, version: str = "4.2",
@@ -56,14 +58,6 @@ class FrontendApp(Application):
     def logout(self, user: str) -> None:
         self.sessions = max(0, self.sessions - 1)
         self.host.logged_in_users.discard(user)
-
-    def _persist_extra(self) -> dict:
-        return {"queries_served": self.queries_served,
-                "sessions": self.sessions}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.queries_served = int(extra["queries_served"])
-        self.sessions = int(extra["sessions"])
 
     def run_query(self) -> Tuple[bool, float, str]:
         """A user-level query: front-end work plus a backend round trip.

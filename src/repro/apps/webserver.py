@@ -10,12 +10,16 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
+from repro.persist.declared import DICT
 
 __all__ = ["WebServer"]
 
 
 class WebServer(Application):
     """An httpd-style server."""
+
+    __extra_state__ = ("requests_attempted", "requests_served",
+                       ("open_connections", DICT))
 
     app_type = "webserver"
 
@@ -67,14 +71,3 @@ class WebServer(Application):
 
     def close_connection(self, client: str) -> None:
         self.open_connections.pop(client, None)
-
-    def _persist_extra(self) -> dict:
-        return {"requests_attempted": self.requests_attempted,
-                "requests_served": self.requests_served,
-                "open_connections": dict(self.open_connections)}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.requests_attempted = int(extra["requests_attempted"])
-        self.requests_served = int(extra["requests_served"])
-        self.open_connections = {c: float(t)
-                                 for c, t in extra["open_connections"].items()}

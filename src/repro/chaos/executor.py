@@ -31,6 +31,7 @@ from typing import FrozenSet, List, Set
 
 from repro.chaos.scenario import Scenario, parse_target, split_site
 from repro.faults.injector import OverlappingFaultError
+from repro.persist.declared import Declared, LIST, SET, token_of
 
 __all__ = ["Episode", "FederationEpisode", "run_episode",
            "run_federation_episode", "PLANTED_GAP"]
@@ -154,7 +155,7 @@ def _apply_event(site, injector, ev) -> None:
         injector.inject(ev.op, target, **ev.param_dict())
 
 
-class _EpisodeBook:
+class _EpisodeBook(Declared):
     """Snapshottable episode bookkeeping: outcome lines, coverage
     markers and the *not-yet-fired* scenario events.
 
@@ -164,6 +165,12 @@ class _EpisodeBook:
     restore re-arms ``fire(events[i])`` at the exact saved token and
     the resumed episode applies the remaining faults beat-for-beat.
     """
+
+    __state__ = ("base", ("applied", "ep.applied", LIST),
+                 ("fizzled", "ep.fizzled", LIST),
+                 ("applied_kinds", "ep.applied_kinds", SET),
+                 ("fizzled_kinds", "ep.fizzled_kinds", SET),
+                 ("condition_markers", "ep.condition_markers", SET))
 
     def __init__(self, ep: Episode):
         self.ep = ep
@@ -180,34 +187,21 @@ class _EpisodeBook:
             self._pending.append((handle, i))
 
     def snapshot_state(self) -> dict:
-        ep = self.ep
-        return {
-            "base": self.base,
-            "applied": list(ep.applied),
-            "fizzled": list(ep.fizzled),
-            "applied_kinds": sorted(ep.applied_kinds),
-            "fizzled_kinds": sorted(ep.fizzled_kinds),
-            "condition_markers": sorted(ep.condition_markers),
-            "pending": [[[h.time, h.priority, h.seq], i]
-                        for h, i in self._pending if h.alive],
-        }
+        state = super().snapshot_state()
+        state["pending"] = [[token_of(h), i]
+                            for h, i in self._pending if h.alive]
+        return state
 
     def restore_state(self, state: dict) -> None:
-        ep = self.ep
-        self.base = float(state["base"])
-        ep.applied = list(state["applied"])
-        ep.fizzled = list(state["fizzled"])
-        ep.applied_kinds = set(state["applied_kinds"])
-        ep.fizzled_kinds = set(state["fizzled_kinds"])
-        ep.condition_markers = set(state["condition_markers"])
+        super().restore_state(state)
         for handle, _i in self._pending:
             handle.cancel()
         self._pending = []
-        events = ep.scenario.events
+        events = self.ep.scenario.events
         for (t, prio, seq), i in state["pending"]:
             handle = self.sim.schedule_exact(t, prio, seq, self.fire,
-                                             events[int(i)])
-            self._pending.append((handle, int(i)))
+                                             events[i])
+            self._pending.append((handle, i))
 
     def claimed_seqs(self) -> List[int]:
         return [h.seq for h, _i in self._pending if h.alive]

@@ -79,11 +79,6 @@ class FuzzResult:
     #: scenario ids admitted for novelty, in admission order
     admitted: List[str] = field(default_factory=list)
 
-    @property
-    def violating_scenarios(self) -> List[Scenario]:
-        return [Scenario.from_json(v["scenario_json"])
-                for v in self.violations]
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,

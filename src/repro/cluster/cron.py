@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.persist.declared import Declared
 from repro.sim.calendar import next_grid
 
 __all__ = ["CronJob", "Crond"]
@@ -35,8 +36,10 @@ class CronJob:
     last_run: Optional[float] = None
 
 
-class Crond:
+class Crond(Declared):
     """Per-host cron daemon on an absolute grid."""
+
+    __state__ = ("running",)
 
     def __init__(self, host) -> None:
         self.host = host
@@ -169,10 +172,12 @@ class Crond:
                 "event": ([ev.time, ev.priority, ev.seq]
                           if ev is not None else None),
             })
-        return {"running": self.running, "jobs": rows}
+        state = super().snapshot_state()
+        state["jobs"] = rows
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.running = bool(state["running"])
+        super().restore_state(state)
         for ev in self._events.values():
             ev.cancel()
         self._events.clear()

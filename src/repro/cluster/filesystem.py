@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.persist.declared import Declared, SET
+
 __all__ = ["FsError", "FsFullError", "FsOfflineError", "SimFile",
            "Mount", "FileSystem"]
 
@@ -75,8 +77,10 @@ def _norm(path: str) -> str:
     return path.rstrip("/") or "/"
 
 
-class FileSystem:
+class FileSystem(Declared):
     """A host's filesystem tree with mount-point capacity accounting."""
+
+    __state__ = (("dirs", "_dirs", SET),)
 
     DEFAULT_MOUNTS: Tuple[Tuple[str, int], ...] = (
         ("/", 2 * 1024**3),
@@ -268,23 +272,20 @@ class FileSystem:
         index is rebuilt from this order), mounts with their accounting
         -- ``used_bytes`` is authoritative, not recomputed, because
         fault injection can set it directly via :meth:`fill`."""
-        return {
-            "mounts": [
-                {"point": m.point, "capacity_bytes": m.capacity_bytes,
-                 "used_bytes": m.used_bytes, "online": m.online,
-                 "readonly": m.readonly}
-                for m in self.mounts.values()
-            ],
-            "dirs": sorted(self._dirs),
-            "files": [
-                {"path": f.path, "lines": list(f.lines), "mtime": f.mtime}
-                for f in self._files.values()
-            ],
-        }
+        state = super().snapshot_state()
+        state["mounts"] = [
+            {"point": m.point, "capacity_bytes": m.capacity_bytes,
+             "used_bytes": m.used_bytes, "online": m.online,
+             "readonly": m.readonly}
+            for m in self.mounts.values()]
+        state["files"] = [
+            {"path": f.path, "lines": list(f.lines), "mtime": f.mtime}
+            for f in self._files.values()]
+        return state
 
     def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
         self._files.clear()
-        self._dirs = set(state["dirs"])
         self._dirs.add("/")
         self._dir_index.clear()
         self.mounts.clear()

@@ -23,6 +23,8 @@ from repro.cluster.process import ProcessTable, ProcState
 from repro.cluster.shell import Shell
 from repro.cluster.specs import ServerSpec
 from repro.cluster.syslog import Syslog
+from repro.persist.declared import (Declared, EnumValue, HeapToken, NESTED,
+                                    SET)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -41,8 +43,18 @@ class HostState(enum.Enum):
     BOOTING = "booting"
 
 
-class Host:
+class Host(Declared):
     """One simulated Unix server."""
+
+    #: everything the host owns: OS scalars plus the nested substrate;
+    #: installed apps and agents snapshot through their own layers
+    __state__ = (("state", EnumValue(HostState)), "booted_at", "crash_count",
+                 "io_demand", "extra_runnable", ("logged_in_users", SET),
+                 "nfs_calls", "nfs_retrans",
+                 ("boot_event", "_boot_event", HeapToken("_finish_boot")),
+                 ("inventory", NESTED), ("fs", NESTED), ("ptable", NESTED),
+                 ("syslog", NESTED), ("crond", NESTED), ("shell", NESTED),
+                 ("nics", NESTED))
 
     def __init__(self, sim: "Simulator", name: str, spec: ServerSpec, *,
                  site: str = "london", location: str = "dc1",
@@ -288,70 +300,19 @@ class Host:
     # -- persistence -------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Everything the host owns: OS scalars plus the nested
-        substrate (inventory, fs, ptable, syslog, crond, shell, nics).
-        Installed apps and agents snapshot through their own layers."""
-        ev = self._boot_event if (self._boot_event is not None
-                                  and self._boot_event.alive) else None
-        return {
-            "state": self.state.value,
-            "booted_at": self.booted_at,
-            "crash_count": self.crash_count,
-            "io_demand": self.io_demand,
-            "extra_runnable": self.extra_runnable,
-            "logged_in_users": sorted(self.logged_in_users),
-            "nfs_calls": self.nfs_calls,
-            "nfs_retrans": self.nfs_retrans,
-            "boot_event": ([ev.time, ev.priority, ev.seq]
-                           if ev is not None else None),
-            "up_signal": [self.up_signal.fire_count,
-                          self.up_signal.last_value],
-            "down_signal": [self.down_signal.fire_count,
-                            self.down_signal.last_value],
-            "inventory": self.inventory.snapshot_state(),
-            "fs": self.fs.snapshot_state(),
-            "ptable": self.ptable.snapshot_state(),
-            "syslog": self.syslog.snapshot_state(),
-            "crond": self.crond.snapshot_state(),
-            "shell": self.shell.snapshot_state(),
-            "nics": {name: nic.snapshot_state()
-                     for name, nic in sorted(self.nics.items())},
-        }
+        state = super().snapshot_state()
+        state["up_signal"] = [self.up_signal.fire_count,
+                              self.up_signal.last_value]
+        state["down_signal"] = [self.down_signal.fire_count,
+                                self.down_signal.last_value]
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.state = HostState(state["state"])
-        self.booted_at = float(state["booted_at"])
-        self.crash_count = int(state["crash_count"])
-        self.io_demand = float(state["io_demand"])
-        self.extra_runnable = int(state["extra_runnable"])
-        self.logged_in_users = set(state["logged_in_users"])
-        self.nfs_calls = int(state["nfs_calls"])
-        self.nfs_retrans = int(state["nfs_retrans"])
+        super().restore_state(state)
         self.up_signal.fire_count, self.up_signal.last_value = \
             state["up_signal"]
         self.down_signal.fire_count, self.down_signal.last_value = \
             state["down_signal"]
-        self.inventory.restore_state(state["inventory"])
-        self.fs.restore_state(state["fs"])
-        self.ptable.restore_state(state["ptable"])
-        self.syslog.restore_state(state["syslog"])
-        self.crond.restore_state(state["crond"])
-        self.shell.restore_state(state["shell"])
-        for name, nic_state in state["nics"].items():
-            self.nics[name].restore_state(nic_state)
-        self._boot_event = None
-        tok = state.get("boot_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._boot_event = self.sim.schedule_exact(
-                t, prio, seq, self._finish_boot)
-
-    def claimed_seqs(self) -> list:
-        seqs = []
-        if self._boot_event is not None and self._boot_event.alive:
-            seqs.append(self._boot_event.seq)
-        seqs.extend(self.crond.claimed_seqs())
-        return seqs
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Host {self.name} {self.spec.model} {self.state.value} "

@@ -16,6 +16,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.persist.declared import Declared
+
 __all__ = ["ProcState", "SimProc", "ProcessTable",
            "RUNNABLE_CPU_THRESHOLD"]
 
@@ -78,13 +80,15 @@ class SimProc:
             self.micro.sleep += dt
 
 
-class ProcessTable:
+class ProcessTable(Declared):
     """The host's process table.
 
     PIDs are allocated monotonically per host.  Lookup by command name
     is the hot path (service agents check for expected daemons), so an
     index is maintained.
     """
+
+    __state__ = (("next_pid", "_next_pid"), ("last_advance", "_last_advance"))
 
     def __init__(self, hostname: str = ""):
         self.hostname = hostname
@@ -201,24 +205,21 @@ class ProcessTable:
         pid map and the per-command index order exactly).  ``owner``
         object links are not serialised; owners relink their own
         processes by pid when they restore."""
-        return {
-            "next_pid": self._next_pid,
-            "last_advance": self._last_advance,
-            "procs": [
-                {"pid": p.pid, "user": p.user, "command": p.command,
-                 "args": p.args, "cpu_pct": p.cpu_pct, "mem_mb": p.mem_mb,
-                 "state": p.state.value, "started_at": p.started_at,
-                 "micro": [p.micro.user, p.micro.system,
-                           p.micro.wait_io, p.micro.sleep]}
-                for p in self._procs.values()
-            ],
-        }
+        state = super().snapshot_state()
+        state["procs"] = [
+            {"pid": p.pid, "user": p.user, "command": p.command,
+             "args": p.args, "cpu_pct": p.cpu_pct, "mem_mb": p.mem_mb,
+             "state": p.state.value, "started_at": p.started_at,
+             "micro": [p.micro.user, p.micro.system,
+                       p.micro.wait_io, p.micro.sleep]}
+            for p in self._procs.values()
+        ]
+        return state
 
     def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
         self._procs.clear()
         self._by_command.clear()
-        self._next_pid = int(state["next_pid"])
-        self._last_advance = float(state["last_advance"])
         for row in state["procs"]:
             u, s, w, z = row["micro"]
             proc = SimProc(

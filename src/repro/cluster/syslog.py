@@ -11,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional
 
+from repro.persist.declared import Declared
+
 __all__ = ["SyslogRecord", "Syslog", "SEVERITIES"]
 
 SEVERITIES = ("emerg", "alert", "crit", "err", "warning", "notice", "info")
@@ -30,8 +32,10 @@ class SyslogRecord:
                 f"{self.tag}: {self.message}")
 
 
-class Syslog:
+class Syslog(Declared):
     """Bounded, append-only host log."""
+
+    __state__ = ("total_logged",)
 
     def __init__(self, maxlen: int = 20000):
         self.records: Deque[SyslogRecord] = deque(maxlen=maxlen)
@@ -102,15 +106,14 @@ class Syslog:
     # -- persistence --------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        return {
-            "maxlen": self.records.maxlen,
-            "total_logged": self.total_logged,
-            "records": [[r.time, r.facility, r.severity, r.tag, r.message]
-                        for r in self.records],
-        }
+        state = super().snapshot_state()
+        state["maxlen"] = self.records.maxlen
+        state["records"] = [[r.time, r.facility, r.severity, r.tag,
+                             r.message] for r in self.records]
+        return state
 
     def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
         self.records = deque(
             (SyslogRecord(*row) for row in state["records"]),
             maxlen=state["maxlen"])
-        self.total_logged = int(state["total_logged"])

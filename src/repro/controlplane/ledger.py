@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.persist.declared import Declared
+
 __all__ = ["Condition", "ConditionLedger", "LedgerCursor", "watch_host"]
 
 #: condition kinds appended by the current producers
@@ -80,8 +82,13 @@ class LedgerCursor:
                 f"consumed={self.consumed}>")
 
 
-class ConditionLedger:
+class ConditionLedger(Declared):
     """Per-site append-only log of conditions with monotonic versions."""
+
+    #: entries, version watermarks and every cursor's position; push
+    #: listeners are structural (re-wired at rebuild)
+    __state__ = ("maxlen", "version", "floor", "appended", "trimmed",
+                 "push_errors")
 
     def __init__(self, maxlen: int = 1 << 18):
         self.maxlen = int(maxlen)
@@ -182,33 +189,20 @@ class ConditionLedger:
     # -- persistence ---------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Entries, version watermarks and every cursor's position.
-        Push listeners are structural (re-wired at rebuild)."""
         names = [c.name for c in self._cursors]
         if len(set(names)) != len(names):
             raise ValueError(
                 f"cannot snapshot ledger with duplicate cursor names: "
                 f"{sorted(names)}")
-        return {
-            "maxlen": self.maxlen,
-            "version": self.version,
-            "floor": self.floor,
-            "appended": self.appended,
-            "trimmed": self.trimmed,
-            "push_errors": self.push_errors,
-            "entries": [[c.version, c.kind, c.host, c.agent, c.status,
-                         c.time, c.detail] for c in self._entries],
-            "cursors": {c.name: [c.last_seen, c.polls, c.consumed,
-                                 c.overruns] for c in self._cursors},
-        }
+        state = super().snapshot_state()
+        state["entries"] = [[c.version, c.kind, c.host, c.agent, c.status,
+                             c.time, c.detail] for c in self._entries]
+        state["cursors"] = {c.name: [c.last_seen, c.polls, c.consumed,
+                                     c.overruns] for c in self._cursors}
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.maxlen = int(state["maxlen"])
-        self.version = int(state["version"])
-        self.floor = int(state["floor"])
-        self.appended = int(state["appended"])
-        self.trimmed = int(state["trimmed"])
-        self.push_errors = int(state["push_errors"])
+        super().restore_state(state)
         self._entries = deque(
             Condition(int(v), kind, host, agent, status, float(t), detail)
             for v, kind, host, agent, status, t, detail in state["entries"])

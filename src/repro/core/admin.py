@@ -40,8 +40,9 @@ Both watchdog paths produce a *sweep plan* -- an ordered list of
 (action, host, reason) decisions -- through the identical per-host
 judgement; they differ only in which hosts they examine and where the
 flag-freshness numbers come from.  Every planned decision is appended
-to :attr:`decisions`, so two runs of the same campaign in different
-modes can be compared byte for byte.
+to :attr:`decision_log` (rendered as :attr:`decisions`), so two runs
+of the same campaign in different modes can be compared byte for
+byte.
 """
 
 from __future__ import annotations
@@ -53,14 +54,35 @@ from repro.core.flags import FlagStore
 from repro.core.healing import apply_action
 from repro.ontology.dgspl import Dgspl, build_dgspl, host_entries
 from repro.ontology.dlsp import Dlsp
+from repro.persist.declared import Declared, NESTED, SET, SORTED
 
-__all__ = ["AdministrationServers"]
+__all__ = ["AdministrationServers", "format_decision"]
 
 _NEG_INF = float("-inf")
 
 
-class AdministrationServers:
+def format_decision(t: float, action: str, host: str, reason: str) -> str:
+    """One decision-log line: ``"t action host reason"``."""
+    return f"{t:.0f} {action} {host} {reason}".rstrip()
+
+
+class AdministrationServers(Declared):
     """The coordinator pair."""
+
+    #: the coordinator pair's whole evolving model.  Cron jobs are re-armed
+    #: through each head's crond snapshot; the ledger and its cursors
+    #: (including this object's two) snapshot with the ledger itself
+    __state__ = (("demand_woken", "_demand_woken", SORTED), "demand_wakes",
+                 ("wheel", "_wheel", NESTED),
+                 ("down_hosts", "_down_hosts", SET),
+                 ("suite_order", "_suite_order", SORTED),
+                 "sweep_mismatches", "dgspl_mismatches", "model_resyncs",
+                 ("registered_at", "_registered_at", SORTED),
+                 "dgspl_generations", "cron_repairs", ("hosts_escalated", SET),
+                 ("recovered_since", "_recovered_since", SET),
+                 "pool_write_failures", "failovers",
+                 ("last_active", "_last_active"), ("services_unhealthy", SET),
+                 "service_probes", "service_probe_failures")
 
     DGSPL_PERIOD = 900.0        # 15 minutes
     #: "every 15 to 30 minutes we initiated a dummy process to run
@@ -126,11 +148,8 @@ class AdministrationServers:
         #: what the full scan iterates) -- both planners emit decisions
         #: in this order so the logs are comparable byte for byte
         self._suite_order: Dict[str, int] = {}
-        #: applied-decision log: "t action host reason" per decision
-        self.decisions: List[str] = []
-        #: the same log as typed records (time, action, host, reason)
-        #: for the incident-report joiner; the string form above stays
-        #: byte-comparable across control-plane modes
+        #: applied-decision log as typed records (time, action, host,
+        #: reason); :attr:`decisions` renders it
         self.decision_log: List[Tuple[float, str, str, str]] = []
         self.sweep_mismatches = 0
         self.dgspl_mismatches = 0
@@ -519,8 +538,6 @@ class AdministrationServers:
         stale_hosts = 0
         tracer = self.sim.tracer
         for action, host_name, reason in plan:
-            self.decisions.append(
-                f"{now:.0f} {action} {host_name} {reason}".rstrip())
             self.decision_log.append((now, action, host_name, reason))
             if action == "clear":
                 self.hosts_escalated.discard(host_name)
@@ -605,12 +622,6 @@ class AdministrationServers:
         self._log_pool(f"{self.sim.now:.0f} ESCALATED {host_name}: {reason}")
 
     # -- DGSPL generation ---------------------------------------------------------------------
-
-    @property
-    def dlsp_freshness_window(self) -> float:
-        """The base-period window (kept for callers that want the
-        configured floor; per-host staleness uses :meth:`_dlsp_window`)."""
-        return 2 * self.agent_period + 60.0
 
     def _status_interval(self, host_name: str) -> float:
         """The status agent's current wake interval for a host: the
@@ -730,51 +741,30 @@ class AdministrationServers:
     # -- persistence ----------------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """The coordinator pair's whole evolving model.  Cron jobs are
-        re-armed through each head's crond snapshot; the ledger and its
-        cursors (including this object's two) snapshot with the ledger
-        itself.  DLSPs and the DGSPL ride the loss-free ontology codec;
-        DLSP insertion order is preserved because the incremental DGSPL
-        assembly iterates arrival order."""
-        return {
-            "intervals": [[list(k), v]
-                          for k, v in sorted(self._intervals.items())],
-            "demand_woken": dict(sorted(self._demand_woken.items())),
-            "demand_wakes": self.demand_wakes,
-            # -inf means "never flagged"; keep the snapshot strict-JSON
-            "latest_flags": [
-                [list(k), None if v == _NEG_INF else v]
-                for k, v in sorted(self._latest_flags.items())],
-            "wheel": self._wheel.snapshot_state(),
-            "down_hosts": sorted(self._down_hosts),
-            "suite_order": dict(sorted(self._suite_order.items())),
-            "decisions": list(self.decisions),
-            "decision_log": [list(d) for d in self.decision_log],
-            "sweep_mismatches": self.sweep_mismatches,
-            "dgspl_mismatches": self.dgspl_mismatches,
-            "model_resyncs": self.model_resyncs,
-            "dgspl_cache": {
-                host: [[e.server, e.server_type, e.os, e.ram_mb, e.cpus,
-                        e.app_name, e.app_type, e.app_version,
-                        e.current_load, e.users, e.location, e.site]
-                       for e in entries]
-                for host, entries in sorted(self._dgspl_cache.items())},
-            "registered_at": dict(sorted(self._registered_at.items())),
-            "dlsps": [[host, dlsp.to_doc().render()]
-                      for host, dlsp in self.dlsps.items()],
-            "dgspl": (self.dgspl.to_doc().render()
-                      if self.dgspl is not None else None),
-            "dgspl_generations": self.dgspl_generations,
-            "cron_repairs": self.cron_repairs,
-            "hosts_escalated": sorted(self.hosts_escalated),
-            "recovered_since": sorted(self._recovered_since),
-            "pool_write_failures": self.pool_write_failures,
-            "failovers": self.failovers,
-            "last_active": self._last_active,
-            "services_unhealthy": sorted(self.services_unhealthy),
-            "service_probes": self.service_probes,
-            "service_probe_failures": self.service_probe_failures,
-        }
+        """Declared state plus the fields JSON cannot carry as they are:
+        pair-keyed maps, the ``-inf`` "never flagged" sentinel, typed
+        records and the DLSPs and DGSPL, which ride the loss-free
+        ontology codec (DLSP insertion order is preserved because the
+        incremental DGSPL assembly iterates arrival order)."""
+        state = super().snapshot_state()
+        state["intervals"] = [[list(k), v]
+                              for k, v in sorted(self._intervals.items())]
+        state["latest_flags"] = [
+            [list(k), None if v == _NEG_INF else v]
+            for k, v in sorted(self._latest_flags.items())]
+        state["decisions"] = self.decisions
+        state["decision_log"] = [list(d) for d in self.decision_log]
+        state["dgspl_cache"] = {
+            host: [[e.server, e.server_type, e.os, e.ram_mb, e.cpus,
+                    e.app_name, e.app_type, e.app_version,
+                    e.current_load, e.users, e.location, e.site]
+                   for e in entries]
+            for host, entries in sorted(self._dgspl_cache.items())}
+        state["dlsps"] = [[host, dlsp.to_doc().render()]
+                          for host, dlsp in self.dlsps.items()]
+        state["dgspl"] = (self.dgspl.to_doc().render()
+                          if self.dgspl is not None else None)
+        return state
 
     def restore_state(self, state: dict) -> None:
         from repro.ontology.base import OntologyDoc
@@ -784,45 +774,26 @@ class AdministrationServers:
             raise KeyError(
                 f"admin snapshot watches {sorted(saved_suites)} != "
                 f"rebuilt suites {sorted(self.suites)}")
-        self._intervals = {tuple(k): float(v)
-                           for k, v in state["intervals"]}
-        self._demand_woken = {h: float(t)
-                              for h, t in state["demand_woken"].items()}
-        self.demand_wakes = int(state["demand_wakes"])
-        self._latest_flags = {
-            tuple(k): (_NEG_INF if v is None else float(v))
-            for k, v in state["latest_flags"]}
-        self._wheel.restore_state(state["wheel"])
-        self._down_hosts = set(state["down_hosts"])
-        self._suite_order = {h: int(i)
-                             for h, i in state["suite_order"].items()}
-        self.decisions = list(state["decisions"])
-        self.decision_log = [(float(t), a, h, r)
-                             for t, a, h, r in state["decision_log"]]
-        self.sweep_mismatches = int(state["sweep_mismatches"])
-        self.dgspl_mismatches = int(state["dgspl_mismatches"])
-        self.model_resyncs = int(state["model_resyncs"])
+        super().restore_state(state)
+        self._intervals = {tuple(k): v for k, v in state["intervals"]}
+        self._latest_flags = {tuple(k): _NEG_INF if v is None else v
+                              for k, v in state["latest_flags"]}
+        self.decision_log = [tuple(d) for d in state["decision_log"]]
         self._dgspl_cache = {
             host: [GlobalServiceEntry(*row) for row in rows]
             for host, rows in state["dgspl_cache"].items()}
-        self._registered_at = {h: float(t)
-                               for h, t in state["registered_at"].items()}
         self.dlsps = {host: Dlsp.from_doc(OntologyDoc.parse(lines))
                       for host, lines in state["dlsps"]}
         self.dgspl = (Dgspl.from_doc(OntologyDoc.parse(state["dgspl"]))
                       if state["dgspl"] is not None else None)
-        self.dgspl_generations = int(state["dgspl_generations"])
-        self.cron_repairs = int(state["cron_repairs"])
-        self.hosts_escalated = set(state["hosts_escalated"])
-        self._recovered_since = set(state["recovered_since"])
-        self.pool_write_failures = int(state["pool_write_failures"])
-        self.failovers = int(state["failovers"])
-        self._last_active = state["last_active"]
-        self.services_unhealthy = set(state["services_unhealthy"])
-        self.service_probes = int(state["service_probes"])
-        self.service_probe_failures = int(state["service_probe_failures"])
 
     # -- queries --------------------------------------------------------------------------------
+
+    @property
+    def decisions(self) -> List[str]:
+        """The decision log as "t action host reason" lines, byte-
+        comparable across control-plane modes."""
+        return [format_decision(*d) for d in self.decision_log]
 
     def current_dgspl(self, max_age: Optional[float] = None) -> Optional[Dgspl]:
         if self.dgspl is None:

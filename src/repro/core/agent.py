@@ -28,6 +28,8 @@ from repro.core.healing import ActionResult, apply_action
 from repro.core.parts import Finding, PartSwitches
 from repro.core.reasoning import Diagnosis, RuleEngine
 from repro.metrics.circular_log import CircularLog
+from repro.persist.declared import (DICT, Declared, EXTRA, HeapToken, NESTED,
+                                    SET)
 from repro.wake import WakePolicy
 
 __all__ = ["Intelliagent", "RunStats"]
@@ -59,8 +61,18 @@ class RunStats:
     cpu_seconds: float = 0.0
 
 
-class Intelliagent:
+class Intelliagent(Declared):
     """Base class for the six agent categories."""
+
+    #: run counters, lockout state and the adaptive wake controller;
+    #: subclasses add their rider fields under "extra" via
+    #: ``__extra_state__``
+    __state__ = (("busy_until", "_busy_until"),
+                 ("busy_event", "_busy_event", HeapToken("_end_proc")),
+                 ("published_interval", "_published_interval"),
+                 ("attempts", "_attempts", DICT),
+                 ("escalated", "_escalated", SET),
+                 ("wake", NESTED), ("extra", EXTRA))
 
     category = "generic"
     #: CPU cost of one wake, seconds of one CPU (shell-tool sweeps are
@@ -370,30 +382,21 @@ class Intelliagent:
     # -- persistence -----------------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Run counters, lockout state (process link by pid plus the
-        pending release event) and the adaptive wake controller.
-        Subclasses ride along via :meth:`_persist_extra`."""
-        ev = self._busy_event if (self._busy_event is not None
-                                  and self._busy_event.alive) else None
+        """Declared state plus the run counters (positional) and the
+        lockout process link (by pid)."""
+        state = super().snapshot_state()
         s = self.stats
-        return {
-            "stats": [s.runs, s.skipped, s.faults_found, s.heals_attempted,
-                      s.heals_succeeded, s.escalations, s.demand_wakes,
-                      s.cpu_seconds],
-            "proc_pid": self._proc.pid if self._proc is not None else None,
-            "busy_until": self._busy_until,
-            "busy_event": ([ev.time, ev.priority, ev.seq]
-                           if ev is not None else None),
-            "published_interval": self._published_interval,
-            "attempts": dict(self._attempts),
-            "escalated": sorted(self._escalated),
-            "wake": self.wake.snapshot_state(),
-            "extra": self._persist_extra(),
-        }
+        state["stats"] = [s.runs, s.skipped, s.faults_found,
+                          s.heals_attempted, s.heals_succeeded,
+                          s.escalations, s.demand_wakes, s.cpu_seconds]
+        state["proc_pid"] = self._proc.pid if self._proc is not None \
+            else None
+        return state
 
     def restore_state(self, state: dict) -> None:
         """Runs after the host restored its process table; a mid-lockout
         agent relinks its process entry by pid."""
+        super().restore_state(state)
         (self.stats.runs, self.stats.skipped, self.stats.faults_found,
          self.stats.heals_attempted, self.stats.heals_succeeded,
          self.stats.escalations, self.stats.demand_wakes,
@@ -409,32 +412,6 @@ class Intelliagent:
                     f"{self.host.name}'s restored table")
             proc.owner = self
             self._proc = proc
-        self._busy_until = float(state["busy_until"])
-        if self._busy_event is not None:
-            self._busy_event.cancel()
-            self._busy_event = None
-        tok = state.get("busy_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._busy_event = self.sim.schedule_exact(
-                t, prio, seq, self._end_proc)
-        self._published_interval = float(state["published_interval"])
-        self._attempts = {k: int(v) for k, v in state["attempts"].items()}
-        self._escalated = set(state["escalated"])
-        self.wake.restore_state(state["wake"])
-        self._restore_extra(state["extra"])
-
-    def _persist_extra(self) -> dict:
-        """Subclass state rider (perf/status agents carry counters)."""
-        return {}
-
-    def _restore_extra(self, extra: dict) -> None:
-        pass
-
-    def claimed_seqs(self) -> List[int]:
-        if self._busy_event is not None and self._busy_event.alive:
-            return [self._busy_event.seq]
-        return []
 
     # -- introspection ---------------------------------------------------------------------------------
 

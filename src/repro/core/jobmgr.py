@@ -23,13 +23,19 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.batch.jobs import BatchJob, JobState
+from repro.persist.declared import Declared
 from repro.sim.calendar import DAY
 
 __all__ = ["JobManager"]
 
 
-class JobManager:
+class JobManager(Declared):
     """DGSPL-driven batch-job babysitter."""
+
+    #: counters only; the five-minute checks and the daily report re-arm
+    #: through the admin heads' crond snapshots
+    __state__ = ("resubmitted", "gave_up", "lsf_restarts_requested",
+                 "checks_run", "daily_reports_sent")
 
     MAX_RESUBMITS = 3
     CHECK_PERIOD = 300.0        # "checked every 5 minutes"
@@ -156,26 +162,6 @@ class JobManager:
                 self.notifications.sms(
                     "oncall-admin", "LSF master host is down",
                     severity="critical", sender="jobmgr")
-
-    # -- persistence -------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters only; the five-minute checks and the daily report
-        re-arm through the admin heads' crond snapshots."""
-        return {
-            "resubmitted": self.resubmitted,
-            "gave_up": self.gave_up,
-            "lsf_restarts_requested": self.lsf_restarts_requested,
-            "checks_run": self.checks_run,
-            "daily_reports_sent": self.daily_reports_sent,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.resubmitted = int(state["resubmitted"])
-        self.gave_up = int(state["gave_up"])
-        self.lsf_restarts_requested = int(state["lsf_restarts_requested"])
-        self.checks_run = int(state["checks_run"])
-        self.daily_reports_sent = int(state["daily_reports_sent"])
 
     def snapshot(self) -> Dict[str, object]:
         """What §4 says the agents recorded every cycle."""

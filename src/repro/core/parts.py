@@ -47,9 +47,6 @@ class PartSwitches:
     def deactivate(self, part: str) -> None:
         self._flip(part, False)
 
-    def activate(self, part: str) -> None:
-        self._flip(part, True)
-
     def _flip(self, part: str, value: bool) -> None:
         if not hasattr(self, part):
             raise ValueError(f"unknown part {part!r}")

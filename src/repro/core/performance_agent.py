@@ -31,6 +31,9 @@ __all__ = ["PerformanceAgent"]
 class PerformanceAgent(Intelliagent):
     """One per host."""
 
+    __extra_state__ = ("breaches_seen", "reports_sent",
+                       ("samples_taken", "samplers.samples_taken"))
+
     category = "performance"
     RUN_CPU_SECONDS = 0.035      # the full five-group sweep
 
@@ -43,16 +46,6 @@ class PerformanceAgent(Intelliagent):
         super().__init__(host, "perf", **kw)
         self.report_log = CircularLog(
             host.fs, "/logs/intelliagents/perf/reports", maxlen=200)
-
-    def _persist_extra(self) -> dict:
-        return {"breaches_seen": self.breaches_seen,
-                "reports_sent": self.reports_sent,
-                "samples_taken": self.samplers.samples_taken}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.breaches_seen = int(extra["breaches_seen"])
-        self.reports_sent = int(extra["reports_sent"])
-        self.samplers.samples_taken = int(extra["samples_taken"])
 
     def monitor(self) -> List[Finding]:
         samples = self.samplers.sample_all()

@@ -104,10 +104,6 @@ class CampaignResult:
         return {k: float(np.mean(v)) / 3600.0 if v else 0.0
                 for k, v in sums.items()}
 
-    def mean_downtime_hours(self) -> float:
-        vals = [r.downtime for r in self.records if not r.prevented]
-        return float(np.mean(vals)) / 3600.0 if vals else 0.0
-
     def auto_repair_rate(self) -> float:
         scored = [r for r in self.records if not r.prevented]
         if not scored:

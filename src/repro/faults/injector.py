@@ -32,6 +32,7 @@ from repro.apps.base import AppState
 from repro.apps.database import Database
 from repro.faults.models import Category, FaultEvent
 from repro.cluster.hardware import ComponentKind, ComponentState
+from repro.persist.declared import Declared, token_of
 
 __all__ = ["FaultInjector", "FaultSpec", "FAULT_CATALOG",
            "OverlappingFaultError", "spec_for"]
@@ -112,8 +113,10 @@ def spec_for(kind: str) -> FaultSpec:
     return _CATALOG_BY_KIND[kind]
 
 
-class FaultInjector:
+class FaultInjector(Declared):
     """Breaks things on purpose."""
+
+    __state__ = ("rejected_overlaps",)
 
     def __init__(self, dc, rng):
         self.dc = dc
@@ -440,17 +443,17 @@ class FaultInjector:
 
     def snapshot_state(self) -> dict:
         """The injection history plus the not-yet-fired arrival tail."""
-        return {
-            "injected": [[e.category.value, e.kind, e.time, e.target,
-                          e.fault_id, e.detected_at, e.repaired_at,
-                          e.auto_repaired, e.prevented]
-                         for e in self.injected],
-            "rejected_overlaps": self.rejected_overlaps,
-            "arrivals": [[[ev.time, ev.priority, ev.seq], cat.value]
-                         for ev, cat in self._arrivals if ev.alive],
-        }
+        state = super().snapshot_state()
+        state["injected"] = [[e.category.value, e.kind, e.time, e.target,
+                              e.fault_id, e.detected_at, e.repaired_at,
+                              e.auto_repaired, e.prevented]
+                             for e in self.injected]
+        state["arrivals"] = [[token_of(ev), cat.value]
+                             for ev, cat in self._arrivals if ev.alive]
+        return state
 
     def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
         self.injected = []
         for cat, kind, t, target, fid, det, rep, auto, prev in \
                 state["injected"]:
@@ -461,7 +464,6 @@ class FaultInjector:
             ev.auto_repaired = auto
             ev.prevented = bool(prev)
             self.injected.append(ev)
-        self.rejected_overlaps = int(state["rejected_overlaps"])
         for ev, _cat in self._arrivals:
             ev.cancel()
         self._arrivals = []

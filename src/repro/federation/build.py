@@ -35,6 +35,7 @@ from repro.net.nameservice import FederatedNameService
 from repro.net.network import Wan
 from repro.net.routing import WanCourier
 from repro.ontology.dgspl import FederatedDgspl, digest_of
+from repro.persist.declared import Declared, SET
 from repro.relocate.crosssite import CrossSiteRelocator
 from repro.sim.rand import RandomStreams
 from repro.traffic.engine import doors_for_site
@@ -46,8 +47,12 @@ __all__ = ["Federation", "build_federation"]
 
 
 @dataclass
-class Federation:
+class Federation(Declared):
     """Handles to the federated world."""
+
+    #: the lockstep clock and site-loss monitor ("clock" in a snapshot)
+    __state__ = ("now", ("next_digest", "_next_digest"), ("lost_sites", SET),
+                 "traffic_on", "site_loss_events", "site_recovery_events")
 
     config: FederationConfig
     #: site name -> its Site world, insertion-ordered by name

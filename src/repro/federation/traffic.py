@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.persist.declared import (Declared, NESTED, SORTED, dump_tree,
+                                    load_tree)
 from repro.traffic.engine import dispatch_fluid
 from repro.traffic.slo import Sli, rollup_slis
 from repro.traffic.workload import MINUTE, DemandCurve
@@ -33,8 +35,10 @@ from repro.traffic.workload import MINUTE, DemandCurve
 __all__ = ["GeoTrafficDriver"]
 
 
-class GeoTrafficDriver:
+class GeoTrafficDriver(Declared):
     """Epoch-driven demand against the whole federation."""
+
+    __state__ = ("ticks", ("user_minutes_lost", SORTED), ("doors", NESTED))
 
     def __init__(self, curves: Dict[str, DemandCurve], geo, crosssite,
                  streams, *, pinned_fraction: Dict[str, float] = None):
@@ -173,30 +177,14 @@ class GeoTrafficDriver:
     # -- persistence ---------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "slis": {key: sli.snapshot_state()
-                     for key, sli in sorted(self.slis.items())},
-            "user_minutes_lost": {k: v for k, v in sorted(
-                self.user_minutes_lost.items())},
-            "doors": {site: {name: door.snapshot_state()
-                             for name, door in sorted(doors.items())}
-                      for site, doors in sorted(self.doors.items())},
-        }
+        """Declared state plus the SLIs, which ``_sli`` creates on
+        demand, so restore re-creates them from the snapshot's keys."""
+        state = super().snapshot_state()
+        state["slis"] = dump_tree(self.slis)
+        return state
 
-    def restore_state(self, state: dict, resolve_app_for) -> None:
-        """``resolve_app_for(site)`` returns that site's
-        ``resolve_app(host, app)`` rebinder for its doors."""
-        self.ticks = int(state["ticks"])
-        self.slis = {}
-        for key, sli_state in state["slis"].items():
-            sli = Sli(key.split("/", 1)[1])
-            sli.restore_state(sli_state)
-            self.slis[key] = sli
-        self.user_minutes_lost = {k: float(v) for k, v in
-                                  state["user_minutes_lost"].items()}
-        for site, doors in self.doors.items():
-            saved = state["doors"][site]
-            resolve = resolve_app_for(site)
-            for name, door in doors.items():
-                door.restore_state(saved[name], resolve)
+    def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
+        self.slis = {key: Sli(key.split("/", 1)[1])
+                     for key in state["slis"]}
+        load_tree(self.slis, state["slis"], "slis")

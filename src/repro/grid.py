@@ -111,12 +111,6 @@ class GridResourceBroker:
         }
         return len(self.resources)
 
-    def refresh_from_lines(self, lines: List[str]) -> int:
-        self.refreshes += 1
-        self.resources = {
-            r.uri: r for r in map(parse_advertisement, lines)}
-        return len(self.resources)
-
     # -- discovery --------------------------------------------------------------
 
     def discover(self, *, app_type: str = "", os: str = "",

@@ -14,10 +14,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.persist.declared import Declared, LIST
+
 __all__ = ["TimeSeries", "merge_by_timestamp"]
 
 
-class TimeSeries:
+class TimeSeries(Declared):
     """An append-friendly (timestamp, value) series.
 
     With ``maxlen`` the series keeps ring-buffer semantics: only the
@@ -26,6 +28,8 @@ class TimeSeries:
     cap, so appends stay O(1) amortised while the telemetry rollup
     loop appends to hundreds of series every tick.
     """
+
+    __state__ = ("maxlen", "dropped", ("t", "_t", LIST), ("v", "_v", LIST))
 
     def __init__(self, name: str = "", maxlen: Optional[int] = None):
         if maxlen is not None and maxlen <= 0:
@@ -94,15 +98,8 @@ class TimeSeries:
 
     # -- persistence -----------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        return {"maxlen": self.maxlen, "dropped": self.dropped,
-                "t": list(self._t), "v": list(self._v)}
-
     def restore_state(self, state: dict) -> None:
-        self.maxlen = state["maxlen"]
-        self.dropped = int(state["dropped"])
-        self._t = [float(x) for x in state["t"]]
-        self._v = [float(x) for x in state["v"]]
+        super().restore_state(state)
         self._t_arr = None
         self._v_arr = None
 

@@ -15,14 +15,19 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
+from repro.persist.declared import Declared, NESTED
+
 __all__ = ["Lan", "Nic", "Wan", "WanLink"]
 
 
-class Nic:
+class Nic(Declared):
     """One network interface attached to one LAN."""
 
     __slots__ = ("host", "lan", "ifname", "ip", "ok",
                  "packets_in", "packets_out", "bytes_in", "bytes_out",
+                 "errors_in", "errors_out", "collisions")
+
+    __state__ = ("ok", "packets_in", "packets_out", "bytes_in", "bytes_out",
                  "errors_in", "errors_out", "collisions")
 
     def __init__(self, host, lan: "Lan", ifname: str, ip: str):
@@ -45,33 +50,11 @@ class Nic:
     def repair(self) -> None:
         self.ok = True
 
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"ok": self.ok,
-                "packets_in": self.packets_in,
-                "packets_out": self.packets_out,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "errors_in": self.errors_in,
-                "errors_out": self.errors_out,
-                "collisions": self.collisions}
-
-    def restore_state(self, state: dict) -> None:
-        self.ok = bool(state["ok"])
-        self.packets_in = int(state["packets_in"])
-        self.packets_out = int(state["packets_out"])
-        self.bytes_in = int(state["bytes_in"])
-        self.bytes_out = int(state["bytes_out"])
-        self.errors_in = int(state["errors_in"])
-        self.errors_out = int(state["errors_out"])
-        self.collisions = int(state["collisions"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Nic {self.host.name}:{self.ifname} on {self.lan.name}>"
 
 
-class Lan:
+class Lan(Declared):
     """A shared network segment.
 
     ``base_latency_ms`` is the unloaded round-trip; effective latency
@@ -79,6 +62,12 @@ class Lan:
     via an exponential window so agents polling every few minutes see a
     recent-average picture rather than an instantaneous spike.
     """
+
+    #: segment state only; per-NIC counters snapshot with their hosts
+    #: (membership itself is structural)
+    __state__ = ("up", ("window_bytes", "_window_bytes"),
+                 ("window_start", "_window_start"), "total_bytes",
+                 "total_messages")
 
     #: window (seconds) over which traffic counts toward utilisation
     UTIL_WINDOW = 300.0
@@ -176,30 +165,12 @@ class Lan:
         self.total_messages += 1
         return (True, latency)
 
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Segment state only; per-NIC counters snapshot with their
-        hosts (membership itself is structural)."""
-        return {"up": self.up,
-                "window_bytes": self._window_bytes,
-                "window_start": self._window_start,
-                "total_bytes": self.total_bytes,
-                "total_messages": self.total_messages}
-
-    def restore_state(self, state: dict) -> None:
-        self.up = bool(state["up"])
-        self._window_bytes = float(state["window_bytes"])
-        self._window_start = float(state["window_start"])
-        self.total_bytes = int(state["total_bytes"])
-        self.total_messages = int(state["total_messages"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"
         return f"<Lan {self.name} ({self.kind}) {state} hosts={len(self.nics)}>"
 
 
-class WanLink:
+class WanLink(Declared):
     """One long-haul link between two named sites.
 
     Where a :class:`Lan` is a shared segment inside a datacentre, a
@@ -214,6 +185,8 @@ class WanLink:
     drops out of digest exchange entirely (its state goes stale at the
     federation), while a degraded one merely answers late.
     """
+
+    __state__ = ("up", "degraded", "total_bytes", "total_messages", "drops")
 
     DEGRADED_FACTOR = 8.0
 
@@ -264,21 +237,6 @@ class WanLink:
         self.total_messages += 1
         return (True, self.latency_ms())
 
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"up": self.up, "degraded": self.degraded,
-                "total_bytes": self.total_bytes,
-                "total_messages": self.total_messages,
-                "drops": self.drops}
-
-    def restore_state(self, state: dict) -> None:
-        self.up = bool(state["up"])
-        self.degraded = bool(state["degraded"])
-        self.total_bytes = int(state["total_bytes"])
-        self.total_messages = int(state["total_messages"])
-        self.drops = int(state["drops"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "PARTITIONED"
         if self.up and self.degraded:
@@ -286,13 +244,15 @@ class WanLink:
         return f"<WanLink {self.a}<->{self.b} {state}>"
 
 
-class Wan:
+class Wan(Declared):
     """The full mesh of :class:`WanLink` segments between named sites.
 
     Intra-site paths (``a == b``) are always reachable at zero WAN
     latency -- the LANs model those.  Links are keyed by the sorted
     site pair, so lookups are direction-free.
     """
+
+    __state__ = (("links", "_named_links", NESTED),)
 
     def __init__(self):
         self.links: Dict[Tuple[str, str], WanLink] = {}
@@ -348,19 +308,10 @@ class Wan:
             link.repair()
         return len(touched)
 
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"links": {f"{a}|{b}": link.snapshot_state()
-                          for (a, b), link in sorted(self.links.items())}}
-
-    def restore_state(self, state: dict) -> None:
-        for name, link_state in state["links"].items():
-            a, b = name.split("|", 1)
-            link = self.link(a, b)
-            if link is None:
-                raise ValueError(f"snapshot names unknown WAN link {name!r}")
-            link.restore_state(link_state)
+    @property
+    def _named_links(self) -> Dict[str, WanLink]:
+        """Links under ``"a|b"`` names (JSON keys cannot be pairs)."""
+        return {f"{a}|{b}": link for (a, b), link in self.links.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Wan links={len(self.links)}>"

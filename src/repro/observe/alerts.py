@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.persist.declared import Declared, SORTED
 from repro.traffic.slo import burn_rate
 
 __all__ = ["BurnRateRule", "DEFAULT_BURN_RULES", "EwmaAnomalyDetector",
@@ -120,8 +121,11 @@ class Alert:
         return self.state == "firing"
 
 
-class AlertManager:
+class AlertManager(Declared):
     """Evaluates rules on every hub rollup and owns alert lifecycles."""
+
+    __state__ = (("det_seen", "_det_seen", SORTED), "pages_sent",
+                 "flaps_suppressed")
 
     def __init__(self, sim, hub, *, channel=None, objective: float = 0.999,
                  rules: Tuple[BurnRateRule, ...] = DEFAULT_BURN_RULES,
@@ -301,21 +305,19 @@ class AlertManager:
         ``_transition``'s ``history.remove`` keeps operating on the
         same objects after a restore."""
         index = {id(a): i for i, a in enumerate(self.history)}
-        return {
-            "detectors": {key: [det.mean, det.var, det.samples,
-                                det.last_score]
-                          for key, det in sorted(self._detectors.items())},
-            "det_seen": dict(sorted(self._det_seen.items())),
-            "history": [[a.key, a.subject, a.severity, a.opened_at,
-                         a.state, a.fired_at, a.resolved_at,
-                         a.last_active, a.fault_id, a.value, a.threshold,
-                         a.pages, a.escalated, list(a.notes)]
-                        for a in self.history],
-            "active": {key: index[id(a)]
-                       for key, a in sorted(self._active.items())},
-            "pages_sent": self.pages_sent,
-            "flaps_suppressed": self.flaps_suppressed,
-        }
+        state = super().snapshot_state()
+        state["detectors"] = {
+            key: [det.mean, det.var, det.samples, det.last_score]
+            for key, det in sorted(self._detectors.items())}
+        state["history"] = [[a.key, a.subject, a.severity, a.opened_at,
+                             a.state, a.fired_at, a.resolved_at,
+                             a.last_active, a.fault_id, a.value,
+                             a.threshold, a.pages, a.escalated,
+                             list(a.notes)]
+                            for a in self.history]
+        state["active"] = {key: index[id(a)]
+                           for key, a in sorted(self._active.items())}
+        return state
 
     def restore_state(self, state: dict) -> None:
         saved = state["detectors"]
@@ -329,8 +331,7 @@ class AlertManager:
             det.var = float(var)
             det.samples = int(samples)
             det.last_score = float(last_score)
-        self._det_seen = {k: float(v)
-                          for k, v in state["det_seen"].items()}
+        super().restore_state(state)
         self.history = []
         for (key, subject, severity, opened_at, st, fired_at,
              resolved_at, last_active, fault_id, value, threshold, pages,
@@ -344,8 +345,6 @@ class AlertManager:
                 escalated=bool(escalated), notes=list(notes)))
         self._active = {key: self.history[int(i)]
                         for key, i in state["active"].items()}
-        self.pages_sent = int(state["pages_sent"])
-        self.flaps_suppressed = int(state["flaps_suppressed"])
 
     # -- queries -------------------------------------------------------------
 

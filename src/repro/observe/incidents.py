@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.core.admin import format_decision
 from repro.sim.calendar import MINUTE, format_time
 from repro.trace.export import incident_traces
 from repro.traffic.slo import IncidentWindow, join_demand
@@ -175,9 +176,9 @@ def build_reports(tracer, *, downtime=None, horizon: Optional[float] = None,
                 f"{c.detail}".rstrip()
                 for c in hub.condition_log if c.host == rep.host]
         if admin is not None and rep.host:
-            rep.decisions = [f"{t:.0f} {action} {host} {reason}".rstrip()
-                             for t, action, host, reason
-                             in admin.decision_log if host == rep.host]
+            rep.decisions = [format_decision(*d)
+                             for d in admin.decision_log
+                             if d[2] == rep.host]
         if relocator is not None:
             recs = [r for r in relocator.records
                     if (rep.fault_id and r.fault_id == rep.fault_id)

@@ -26,6 +26,8 @@ from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.metrics.timeseries import TimeSeries
+from repro.persist.declared import (Declared, HeapToken, SET, SORTED,
+                                    dump_tree, load_tree)
 
 __all__ = ["TelemetryHub", "DEFAULT_COUNTERS"]
 
@@ -40,8 +42,16 @@ DEFAULT_COUNTERS = (
 )
 
 
-class TelemetryHub:
+class TelemetryHub(Declared):
     """Windowed per-host / per-service telemetry over ring buffers."""
+
+    #: ring series, tallies and the rollup tick; sources (ledger, SLIs,
+    #: rollup listeners) are structural wiring
+    __state__ = (("prev_counters", "_prev_counters", SORTED),
+                 ("conditions_by_kind", SORTED), "condition_log_dropped",
+                 ("hosts_down", SET), "ticks", "events_in",
+                 ("running", "_running"),
+                 ("event", "_event", HeapToken("_tick")))
 
     def __init__(self, sim, *, interval: float = 60.0, maxlen: int = 720,
                  registry=None,
@@ -205,57 +215,23 @@ class TelemetryHub:
     # -- persistence -----------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Ring series, tallies and the rollup tick.  Sources (ledger,
-        SLIs, rollup listeners) are structural wiring."""
-        return {
-            "series": {key: s.snapshot_state()
-                       for key, s in sorted(self._series.items())},
-            "prev_counters": dict(sorted(self._prev_counters.items())),
-            "conditions_by_kind": dict(
-                sorted(self.conditions_by_kind.items())),
-            "condition_log": [[c.version, c.kind, c.host, c.agent,
-                               c.status, c.time, c.detail]
-                              for c in self.condition_log],
-            "condition_log_dropped": self.condition_log_dropped,
-            "hosts_down": sorted(self.hosts_down),
-            "ticks": self.ticks,
-            "events_in": self.events_in,
-            "running": self._running,
-            "event": ([self._event.time, self._event.priority,
-                       self._event.seq]
-                      if self._event is not None and self._event.alive
-                      else None),
-        }
+        """Declared state plus the series, which are created on first
+        sample, and the condition-log ring."""
+        state = super().snapshot_state()
+        state["series"] = dump_tree(self._series)
+        state["condition_log"] = [[c.version, c.kind, c.host, c.agent,
+                                   c.status, c.time, c.detail]
+                                  for c in self.condition_log]
+        return state
 
     def restore_state(self, state: dict) -> None:
         from repro.controlplane.ledger import Condition
-        self._series = {}
-        for key, s in state["series"].items():
-            ts = self._series[key] = TimeSeries(key, maxlen=self.maxlen)
-            ts.restore_state(s)
-        self._prev_counters = {k: float(v)
-                               for k, v in state["prev_counters"].items()}
-        self.conditions_by_kind = {k: int(v) for k, v
-                                   in state["conditions_by_kind"].items()}
+        super().restore_state(state)
+        self._series = {key: TimeSeries(key, maxlen=self.maxlen)
+                        for key in state["series"]}
+        load_tree(self._series, state["series"], "series")
         self.condition_log = deque(
             (Condition(int(v), kind, host, agent, status, float(t), detail)
              for v, kind, host, agent, status, t, detail
              in state["condition_log"]),
             maxlen=16 * self.maxlen)
-        self.condition_log_dropped = int(state["condition_log_dropped"])
-        self.hosts_down = set(state["hosts_down"])
-        self.ticks = int(state["ticks"])
-        self.events_in = int(state["events_in"])
-        self._running = bool(state["running"])
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        token = state["event"]
-        if token is not None:
-            t, prio, seq = token
-            self._event = self.sim.schedule_exact(t, prio, seq, self._tick)
-
-    def claimed_seqs(self) -> List[int]:
-        if self._event is not None and self._event.alive:
-            return [self._event.seq]
-        return []

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.cluster.specs import SPEC_CATALOGUE
 from repro.ontology.base import OntologyDoc, OntologyError
 from repro.ontology.dlsp import Dlsp
+from repro.persist.declared import Declared, SORTED
 
 __all__ = ["GlobalServiceEntry", "Dgspl", "build_dgspl", "host_entries",
            "TierDigest", "SiteDigest", "digest_of", "FederatedDgspl"]
@@ -252,7 +253,7 @@ def digest_of(dgspl: Dgspl, site: str, *, hosts_up: int = 0) -> SiteDigest:
                       hosts_up=hosts_up, tiers=tiers)
 
 
-class FederatedDgspl:
+class FederatedDgspl(Declared):
     """The global service view, merged from per-site digests.
 
     Each site's digest carries two clocks: when the site *generated*
@@ -263,15 +264,15 @@ class FederatedDgspl:
     path ages the site out of the merged view.
     """
 
+    __state__ = ("default_freshness", ("freshness", SORTED),
+                 ("received_at", SORTED), "ingested")
+
     def __init__(self, *, freshness: float = 1800.0):
         self.default_freshness = float(freshness)
         self.freshness: Dict[str, float] = {}
         self.digests: Dict[str, SiteDigest] = {}
         self.received_at: Dict[str, float] = {}
         self.ingested = 0
-
-    def set_freshness(self, site: str, window: float) -> None:
-        self.freshness[site] = float(window)
 
     def window_of(self, site: str) -> float:
         return self.freshness.get(site, self.default_freshness)
@@ -292,38 +293,21 @@ class FederatedDgspl:
         return (now - self.received_at[site] <= window
                 and now - digest.generated_at <= window)
 
-    def fresh_sites(self, now: float) -> List[str]:
-        return [s for s in sorted(self.digests) if self.is_fresh(s, now)]
-
     def capacity(self, site: str, app_type: str, now: float) -> float:
         """Steering weight input; a stale site advertises nothing."""
         if not self.is_fresh(site, now):
             return 0.0
         return self.digests[site].capacity(app_type)
 
-    def merged_entries(self) -> Dict[str, Dict[str, TierDigest]]:
-        """site -> app_type -> tier digest, for boards and reports."""
-        return {site: dict(sorted(digest.tiers.items()))
-                for site, digest in sorted(self.digests.items())}
-
     # -- persistence ---------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        return {
-            "default_freshness": self.default_freshness,
-            "freshness": dict(sorted(self.freshness.items())),
-            "digests": {s: d.to_dict()
-                        for s, d in sorted(self.digests.items())},
-            "received_at": dict(sorted(self.received_at.items())),
-            "ingested": self.ingested,
-        }
+        state = super().snapshot_state()
+        state["digests"] = {s: d.to_dict()
+                            for s, d in sorted(self.digests.items())}
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.default_freshness = float(state["default_freshness"])
-        self.freshness = {k: float(v)
-                          for k, v in state["freshness"].items()}
+        super().restore_state(state)
         self.digests = {s: SiteDigest.from_dict(d)
                         for s, d in state["digests"].items()}
-        self.received_at = {k: float(v)
-                            for k, v in state["received_at"].items()}
-        self.ingested = int(state["ingested"])

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ontology.base import OntologyDoc, OntologyError
+from repro.persist.declared import Declared
 
 __all__ = ["ServiceStatus", "Dlsp", "DlspBuilder", "build_dlsp"]
 
@@ -134,7 +135,7 @@ def build_dlsp(host) -> Dlsp:
         up=host.is_up, services=services)
 
 
-class DlspBuilder:
+class DlspBuilder(Declared):
     """Incremental profile generation for one host.
 
     An app's probe is a pure function of its (state, version, port)
@@ -145,6 +146,8 @@ class DlspBuilder:
     The assembled profile is byte-identical to :func:`build_dlsp`.
     """
 
+    __state__ = (("load_key", "_load_key"), "probes", "reused")
+
     def __init__(self, host):
         self.host = host
         self._entries: Dict[str, ServiceStatus] = {}
@@ -152,6 +155,23 @@ class DlspBuilder:
         self._load_key: Optional[float] = None
         self.probes = 0
         self.reused = 0
+
+    def snapshot_state(self) -> dict:
+        state = super().snapshot_state()
+        state["entries"] = {
+            name: [e.name, e.app_type, e.version, e.state, e.port,
+                   e.healthy, e.response_ms]
+            for name, e in sorted(self._entries.items())}
+        state["fingerprints"] = {name: list(fp) for name, fp
+                                 in sorted(self._fingerprints.items())}
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
+        self._entries = {name: ServiceStatus(*row)
+                         for name, row in state["entries"].items()}
+        self._fingerprints = {name: tuple(fp)
+                              for name, fp in state["fingerprints"].items()}
 
     @staticmethod
     def _fingerprint(app) -> tuple:

@@ -20,6 +20,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import defaultdict, deque
 
+from repro.persist.declared import Declared
+
 __all__ = ["Notification", "NotificationChannel"]
 
 
@@ -36,8 +38,10 @@ class Notification:
     suppressed: int = 0
 
 
-class NotificationChannel:
+class NotificationChannel(Declared):
     """Site-wide message ledger with optional live subscribers."""
+
+    __state__ = ("suppressed_total",)
 
     def __init__(self, sim, *, dedup_window: float = 0.0,
                  rate_limit: Optional[int] = None,
@@ -126,26 +130,25 @@ class NotificationChannel:
         indices into the sent list so folding keeps mutating the same
         records after a restore."""
         index = {id(n): i for i, n in enumerate(self.sent)}
-        return {
-            "sent": [[n.time, n.medium, n.recipient, n.subject, n.body,
-                      n.severity, n.sender, n.suppressed]
-                     for n in self.sent],
-            "suppressed_total": self.suppressed_total,
-            "suppressed_by_recipient": dict(
-                sorted(self.suppressed_by_recipient.items())),
-            "last_sent": [[list(key), index[id(n)]]
-                          for key, n in self._last_sent.items()],
-            "recent": {r: list(times)
-                       for r, times in sorted(self._recent.items())},
-        }
+        state = super().snapshot_state()
+        state["sent"] = [[n.time, n.medium, n.recipient, n.subject, n.body,
+                          n.severity, n.sender, n.suppressed]
+                         for n in self.sent]
+        state["suppressed_by_recipient"] = dict(
+            sorted(self.suppressed_by_recipient.items()))
+        state["last_sent"] = [[list(key), index[id(n)]]
+                              for key, n in self._last_sent.items()]
+        state["recent"] = {r: list(times)
+                           for r, times in sorted(self._recent.items())}
+        return state
 
     def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
         self.sent = [Notification(float(t), medium, recipient, subject,
                                   body, severity, sender,
                                   suppressed=int(sup))
                      for t, medium, recipient, subject, body, severity,
                      sender, sup in state["sent"]]
-        self.suppressed_total = int(state["suppressed_total"])
         self.suppressed_by_recipient = defaultdict(int)
         for r, n in state["suppressed_by_recipient"].items():
             self.suppressed_by_recipient[r] = int(n)

@@ -9,6 +9,9 @@ checkpoints:
 
 - :mod:`repro.persist.core` -- the protocol, the canonical-JSON state
   hash, and :class:`~repro.persist.core.QuiescenceError`.
+- :mod:`repro.persist.declared` -- the protocol derived from a class's
+  declared ``__state__`` field spec (codecs for scalars, sets, dicts,
+  nested components and pending-event heap tokens).
 - :mod:`repro.persist.site_state` -- :func:`snapshot_site` /
   :func:`restore_site`: walk a built :class:`~repro.experiments.site.Site`
   section by section, verifying that *every* live heap event is claimed

@@ -11,14 +11,15 @@ Pending kernel events are never pickled.  A component that owns one
 serialises its heap token ``[time, priority, seq]`` and re-arms it on
 restore through :meth:`Simulator.schedule_exact`; ``claimed_seqs()``
 declares ownership so the site walker can prove the whole heap is
-accounted for.
+accounted for.  :mod:`repro.persist.declared` implements all three
+from a class's declared field spec.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
            "canonical_json", "state_hash"]
@@ -65,9 +66,3 @@ def canonical_json(state: dict) -> str:
 def state_hash(state: dict) -> str:
     """sha256 of the canonical JSON -- the checkpoint's content hash."""
     return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
-
-
-def claimed_of(component) -> List[int]:
-    """A component's claimed pending-event seqs ([] when it has none)."""
-    fn = getattr(component, "claimed_seqs", None)
-    return list(fn()) if fn is not None else []

@@ -14,12 +14,29 @@ the one that never stopped.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.persist.core import FORMAT_VERSION, state_hash
+from repro.persist.declared import dump_tree, load_tree
 from repro.persist.site_state import restore_site, snapshot_site
 
 __all__ = ["snapshot_federation", "restore_federation"]
+
+
+def _sections(fed):
+    """The layers between sites (the sites themselves snapshot through
+    :func:`snapshot_site`), in restore order."""
+    return (
+        ("wan", fed.wan),
+        ("courier", fed.courier),
+        ("fed_nameservice", fed.nameservice),
+        ("fed_dgspl", fed.fed_dgspl),
+        ("fed_rng", fed.streams),
+        ("geo", fed.geo),
+        ("traffic", fed.traffic),
+        ("crosssite", fed.crosssite),
+        ("clock", fed),
+    )
 
 
 def snapshot_federation(fed, *, extras_by_site: Optional[
@@ -36,27 +53,10 @@ def snapshot_federation(fed, *, extras_by_site: Optional[
         "sites": {name: snapshot_site(fed.sites[name],
                                       extras=extras_by_site.get(name))
                   for name in sorted(fed.sites)},
-        "wan": fed.wan.snapshot_state(),
-        "courier": fed.courier.snapshot_state(),
-        "fed_nameservice": fed.nameservice.snapshot_state(),
-        "fed_dgspl": fed.fed_dgspl.snapshot_state(),
-        "fed_rng": fed.streams.getstate(),
-        "geo": fed.geo.snapshot_state() if fed.geo is not None else None,
-        "traffic": (fed.traffic.snapshot_state()
-                    if fed.traffic is not None else None),
-        "crosssite": (fed.crosssite.snapshot_state()
-                      if fed.crosssite is not None else None),
-        "clock": {
-            "now": fed.now,
-            "next_digest": fed._next_digest,
-            "lost_sites": sorted(fed.lost_sites),
-            "traffic_on": fed.traffic_on,
-            "site_loss_events": fed.site_loss_events,
-            "site_recovery_events": fed.site_recovery_events,
-        },
     }
-    state["state_hash"] = state_hash(
-        {k: v for k, v in state.items() if k != "state_hash"})
+    for section, comp in _sections(fed):
+        state[section] = dump_tree(comp)
+    state["state_hash"] = state_hash(state)
     return state
 
 
@@ -72,37 +72,14 @@ def restore_federation(snapshot: dict, *, extras_by_site: Optional[
             f"supported {FORMAT_VERSION}")
     extras_by_site = dict(extras_by_site or {})
 
-    config = FederationConfig.from_dict(snapshot["fedconfig"])
-    fed = build_federation(config)
+    fed = build_federation(FederationConfig.from_dict(snapshot["fedconfig"]))
     if set(fed.sites) != set(snapshot["sites"]):
         raise KeyError(
             f"site set mismatch: snapshot={sorted(snapshot['sites'])} "
             f"build={sorted(fed.sites)}")
-
     for name in sorted(fed.sites):
         restore_site(snapshot["sites"][name], site=fed.sites[name],
                      extras=extras_by_site.get(name))
-
-    fed.wan.restore_state(snapshot["wan"])
-    fed.courier.restore_state(snapshot["courier"])
-    fed.nameservice.restore_state(snapshot["fed_nameservice"])
-    fed.fed_dgspl.restore_state(snapshot["fed_dgspl"])
-    fed.streams.setstate(snapshot["fed_rng"])
-    if snapshot["geo"] is not None:
-        fed.geo.restore_state(snapshot["geo"])
-    if snapshot["traffic"] is not None:
-        def resolve_app_for(site_name: str):
-            site = fed.sites[site_name]
-            return lambda host, app: site.dc.hosts[host].apps[app]
-        fed.traffic.restore_state(snapshot["traffic"], resolve_app_for)
-    if snapshot["crosssite"] is not None:
-        fed.crosssite.restore_state(snapshot["crosssite"])
-
-    clock = snapshot["clock"]
-    fed.now = float(clock["now"])
-    fed._next_digest = float(clock["next_digest"])
-    fed.lost_sites = set(clock["lost_sites"])
-    fed.traffic_on = bool(clock["traffic_on"])
-    fed.site_loss_events = int(clock["site_loss_events"])
-    fed.site_recovery_events = int(clock["site_recovery_events"])
+    for section, comp in _sections(fed):
+        load_tree(comp, snapshot[section], section)
     return fed

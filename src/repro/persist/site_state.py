@@ -22,6 +22,12 @@ Two safety rails make that claim checkable rather than hopeful:
   where none exist.  The checkpoint manager defers to the next epoch
   when one trips.
 
+Both walk one table of ``(section, component)`` pairs (:func:`_sections`):
+a component is anything with ``snapshot_state``/``restore_state`` (most
+declare their fields, see :mod:`repro.persist.declared`), a (nested)
+name -> component mapping, or ``None`` for a layer this site was built
+without.
+
 Checkpointable configurations run with the overnight workload and the
 market feeds off: both drive generator processes whose continuations
 live in Python frames, which this layer deliberately refuses to pickle.
@@ -30,17 +36,17 @@ live in Python frames, which this layer deliberately refuses to pickle.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.persist.core import (FORMAT_VERSION, QuiescenceError, claimed_of,
-                                state_hash)
+from repro.persist.core import FORMAT_VERSION, QuiescenceError, state_hash
+from repro.persist.declared import claims_tree, dump_tree, load_tree
 
 __all__ = ["snapshot_site", "restore_site"]
 
 
 # -- quiescence --------------------------------------------------------------
 
-def _check_quiescent(site, extras: Mapping[str, object]) -> None:
+def _check_quiescent(site) -> None:
     """All the reasons a snapshot must be refused, with names."""
     cfg = site.config
     if cfg.with_workload or cfg.with_feeds:
@@ -65,6 +71,20 @@ def _check_quiescent(site, extras: Mapping[str, object]) -> None:
                 f"{db.host.name}/{db.name} has attached batch jobs")
 
 
+def _claims(sections: Iterable[Tuple[str, object]]) -> Dict[int, str]:
+    """seq -> owner for every pending event the sections claim; a seq
+    claimed twice means two components would both re-arm it."""
+    claimed: Dict[int, str] = {}
+    for section, comp in sections:
+        for owner, seq in claims_tree(comp, section):
+            prev = claimed.get(seq)
+            if prev is not None:
+                raise QuiescenceError(
+                    f"event seq {seq} claimed twice: by {prev} and {owner}")
+            claimed[seq] = owner
+    return claimed
+
+
 def _coverage_check(site, claimed: Dict[int, str]) -> None:
     """Every live heap event must be claimed by exactly one owner."""
     unclaimed = []
@@ -80,21 +100,43 @@ def _coverage_check(site, claimed: Dict[int, str]) -> None:
                if len(unclaimed) > 8 else ""))
 
 
-def _claim(claimed: Dict[int, str], owner: str, seqs: List[int]) -> None:
-    for seq in seqs:
-        prev = claimed.get(seq)
-        if prev is not None:
-            raise QuiescenceError(
-                f"event seq {seq} claimed twice: by {prev} and {owner}")
-        claimed[seq] = owner
-
-
 # -- the component walk -------------------------------------------------------
 
 def _tracer_of(site):
     from repro.trace.tracer import NULL_TRACER
     tracer = site.sim.tracer
     return None if tracer is NULL_TRACER else tracer
+
+
+def _sections(site, extras: Mapping[str, object]):
+    """Every stateful layer, in restore order: the kernel first (re-armed
+    events must not land before its clock), hosts before apps and agents
+    (they relink their processes by pid)."""
+    hosts = site.dc.hosts
+    return (
+        ("kernel", site.sim),
+        ("rng", site.streams),
+        ("tracer", _tracer_of(site)),
+        ("lans", site.dc.lans),
+        ("hosts", hosts),
+        ("apps", {name: host.apps for name, host in hosts.items()}),
+        ("nameservice", site.nameservice),
+        ("channel", site.channel),
+        ("pool", site.pool),
+        ("notifications", site.notifications),
+        ("lsf", site.lsf),
+        ("services", {svc.name: svc for svc in site.services}),
+        ("suites", site.suites),
+        ("ledger", site.ledger),
+        ("admin", site.admin),
+        ("jobmgr", site.jobmgr),
+        ("spares", site.spares),
+        ("relocator", site.relocator),
+        ("reroute", site.reroute),
+        ("telemetry", site.telemetry),
+        ("alerts", site.alerts),
+        ("extras", extras),
+    )
 
 
 def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
@@ -106,79 +148,13 @@ def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
     and participates in claimed-event coverage when it owns events.
     The same names must be passed to :func:`restore_site`.
     """
-    extras = dict(extras or {})
-    _check_quiescent(site, extras)
-
-    claimed: Dict[int, str] = {}
-    state: dict = {
-        "format": FORMAT_VERSION,
-        "config": asdict(site.config),
-        "kernel": site.sim.snapshot_state(),
-        "rng": site.streams.getstate(),
-    }
-
-    tracer = _tracer_of(site)
-    state["tracer"] = tracer.snapshot_state() if tracer is not None else None
-
-    state["lans"] = {name: lan.snapshot_state()
-                     for name, lan in sorted(site.dc.lans.items())}
-    hosts: Dict[str, dict] = {}
-    apps: Dict[str, Dict[str, dict]] = {}
-    for name, host in sorted(site.dc.hosts.items()):
-        hosts[name] = host.snapshot_state()
-        _claim(claimed, f"host:{name}", host.claimed_seqs())
-        apps[name] = {}
-        for app_name, app in sorted(host.apps.items()):
-            apps[name][app_name] = app.snapshot_state()
-            _claim(claimed, f"app:{name}/{app_name}", app.claimed_seqs())
-    state["hosts"] = hosts
-    state["apps"] = apps
-
-    state["nameservice"] = site.nameservice.snapshot_state()
-    state["channel"] = site.channel.snapshot_state()
-    state["pool"] = site.pool.snapshot_state()
-    state["notifications"] = site.notifications.snapshot_state()
-
-    state["lsf"] = site.lsf.snapshot_state()
-    _claim(claimed, "lsf", site.lsf.claimed_seqs())
-
-    state["services"] = {svc.name: svc.snapshot_state()
-                         for svc in site.services}
-
-    state["suites"] = {}
-    for name, suite in sorted(site.suites.items()):
-        state["suites"][name] = suite.snapshot_state()
-        _claim(claimed, f"suite:{name}", suite.claimed_seqs())
-
-    state["ledger"] = (site.ledger.snapshot_state()
-                       if site.ledger is not None else None)
-    state["admin"] = (site.admin.snapshot_state()
-                      if site.admin is not None else None)
-    state["jobmgr"] = (site.jobmgr.snapshot_state()
-                       if site.jobmgr is not None else None)
-
-    state["spares"] = (site.spares.snapshot_state()
-                       if site.spares is not None else None)
-    state["relocator"] = (site.relocator.snapshot_state()
-                          if site.relocator is not None else None)
-    state["reroute"] = (site.reroute.snapshot_state()
-                        if site.reroute is not None else None)
-
-    state["telemetry"] = (site.telemetry.snapshot_state()
-                          if site.telemetry is not None else None)
-    if site.telemetry is not None:
-        _claim(claimed, "telemetry", site.telemetry.claimed_seqs())
-    state["alerts"] = (site.alerts.snapshot_state()
-                       if site.alerts is not None else None)
-
-    state["extras"] = {}
-    for name, comp in sorted(extras.items()):
-        state["extras"][name] = comp.snapshot_state()
-        _claim(claimed, f"extra:{name}", claimed_of(comp))
-
-    _coverage_check(site, claimed)
-    state["state_hash"] = state_hash(
-        {k: v for k, v in state.items() if k != "state_hash"})
+    _check_quiescent(site)
+    sections = _sections(site, dict(extras or {}))
+    state: dict = {"format": FORMAT_VERSION, "config": asdict(site.config)}
+    for section, comp in sections:
+        state[section] = dump_tree(comp)
+    _coverage_check(site, _claims(sections))
+    state["state_hash"] = state_hash(state)
     return state
 
 
@@ -199,104 +175,35 @@ def restore_site(snapshot: dict, *, site=None,
             f"checkpoint format {snapshot.get('format')!r} != "
             f"supported {FORMAT_VERSION}")
     extras = dict(extras or {})
-    missing = set(snapshot.get("extras", {})) - set(extras)
+    missing = set(snapshot["extras"]) - set(extras)
     if missing:
         raise KeyError(
             f"snapshot carries extras {sorted(missing)} with no restore "
             f"target supplied")
+    extras = {name: extras[name] for name in snapshot["extras"]}
 
     if site is None:
         from repro.experiments.site import SiteConfig, build_site
         site = build_site(SiteConfig(**snapshot["config"]))
-    else:
-        if asdict(site.config) != snapshot["config"]:
-            raise ValueError(
-                "supplied site was built from a different config than "
-                "the snapshot's")
+    elif asdict(site.config) != snapshot["config"]:
+        raise ValueError(
+            "supplied site was built from a different config than "
+            "the snapshot's")
 
-    sim = site.sim
-    sim.restore_state(snapshot["kernel"])
-    sim.clear_events()
-    site.streams.setstate(snapshot["rng"])
-
-    if snapshot["tracer"] is not None:
-        tracer = _tracer_of(site)
-        if tracer is None:
-            from repro.trace import install_tracer
-            tracer = install_tracer(sim)
-        tracer.restore_state(snapshot["tracer"])
-
-    for name, lan_state in snapshot["lans"].items():
-        site.dc.lans[name].restore_state(lan_state)
-    saved_hosts = set(snapshot["hosts"])
-    built_hosts = set(site.dc.hosts)
-    if saved_hosts != built_hosts:
-        raise KeyError(
-            f"host set mismatch: snapshot-only={sorted(saved_hosts - built_hosts)} "
-            f"build-only={sorted(built_hosts - saved_hosts)}")
-    for name in sorted(saved_hosts):
-        site.dc.hosts[name].restore_state(snapshot["hosts"][name])
-    for name, app_states in snapshot["apps"].items():
-        host = site.dc.hosts[name]
-        if set(app_states) != set(host.apps):
-            raise KeyError(
-                f"{name}: app set mismatch (snapshot "
-                f"{sorted(app_states)} vs built {sorted(host.apps)})")
-        for app_name, app_state in app_states.items():
-            host.apps[app_name].restore_state(app_state)
-
-    site.nameservice.restore_state(snapshot["nameservice"])
-    site.channel.restore_state(snapshot["channel"])
-    site.pool.restore_state(snapshot["pool"])
-    site.notifications.restore_state(snapshot["notifications"])
-    site.lsf.restore_state(snapshot["lsf"])
-
-    by_name = {svc.name: svc for svc in site.services}
-    for name, svc_state in snapshot["services"].items():
-        by_name[name].restore_state(svc_state)
-
-    if set(snapshot["suites"]) != set(site.suites):
-        raise KeyError("suite set mismatch between snapshot and build")
-    for name, suite_state in snapshot["suites"].items():
-        site.suites[name].restore_state(suite_state)
-
-    if snapshot["ledger"] is not None:
-        site.ledger.restore_state(snapshot["ledger"])
-    if snapshot["admin"] is not None:
-        site.admin.restore_state(snapshot["admin"])
-    if snapshot["jobmgr"] is not None:
-        site.jobmgr.restore_state(snapshot["jobmgr"])
-    if snapshot["spares"] is not None:
-        site.spares.restore_state(snapshot["spares"])
-    if snapshot["relocator"] is not None:
-        site.relocator.restore_state(snapshot["relocator"])
-    if snapshot["reroute"] is not None:
-        site.reroute.restore_state(snapshot["reroute"])
-    if snapshot["telemetry"] is not None:
-        site.telemetry.restore_state(snapshot["telemetry"])
-    if snapshot["alerts"] is not None:
-        site.alerts.restore_state(snapshot["alerts"])
-
-    for name, comp_state in snapshot.get("extras", {}).items():
-        extras[name].restore_state(comp_state)
+    site.sim.clear_events()
+    if snapshot["tracer"] is not None and _tracer_of(site) is None:
+        from repro.trace import install_tracer
+        install_tracer(site.sim)
+    sections = _sections(site, extras)
+    for section, comp in sections:
+        load_tree(comp, snapshot[section], section)
 
     # the re-armed heap must be exactly the claimed set the snapshot
     # covered -- anything else means a restore path scheduled fresh work
-    live = sorted(ev.seq for ev in sim.live_events())
-    claimed: Dict[int, str] = {}
-    for name, host in site.dc.hosts.items():
-        _claim(claimed, f"host:{name}", host.claimed_seqs())
-        for app_name, app in host.apps.items():
-            _claim(claimed, f"app:{name}/{app_name}", app.claimed_seqs())
-    _claim(claimed, "lsf", site.lsf.claimed_seqs())
-    for name, suite in site.suites.items():
-        _claim(claimed, f"suite:{name}", suite.claimed_seqs())
-    if site.telemetry is not None:
-        _claim(claimed, "telemetry", site.telemetry.claimed_seqs())
-    for name, comp in extras.items():
-        _claim(claimed, f"extra:{name}", claimed_of(comp))
-    if live != sorted(claimed):
+    live = sorted(ev.seq for ev in site.sim.live_events())
+    claimed = sorted(_claims(sections))
+    if live != claimed:
         raise QuiescenceError(
             f"restored heap does not match claims: live={live[:12]} "
-            f"claimed={sorted(claimed)[:12]}")
+            f"claimed={claimed[:12]}")
     return site

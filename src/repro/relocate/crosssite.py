@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.healing import apply_action
 from repro.ontology.slkt import app_template_of
+from repro.persist.declared import Declared, SET
 from repro.relocate.reroute import service_alias
 
 __all__ = ["CrossSiteRecord", "CrossSiteRelocator"]
@@ -89,7 +90,7 @@ class _Takeover:
         return cls(**doc)
 
 
-class CrossSiteRelocator:
+class CrossSiteRelocator(Declared):
     """Epoch-driven cross-site takeover state machines.
 
     ``sites`` maps site name -> the built :class:`Site` world; the
@@ -97,6 +98,9 @@ class CrossSiteRelocator:
     barrier.  ``page_cb(subject, reason)`` is the last tier -- wired by
     the federation to a surviving site's paging channel.
     """
+
+    __state__ = (("lost_sites", SET), "attempted", "succeeded", "failed",
+                 "paged")
 
     #: control-plane round trips a verify/cutover handshake costs; the
     #: WAN-aware budget adds this many RTTs to the base verify budget
@@ -300,32 +304,21 @@ class CrossSiteRelocator:
     # -- persistence ---------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        return {
-            "lost_sites": sorted(self.lost_sites),
-            "records": [r.to_dict() for r in self.records],
-            "active": [r.subject for r in self.active],
-            "takeovers": [t.to_dict() for t in self.takeovers],
-            "tier_totals": {f"{s}|{t}": v for (s, t), v
-                            in sorted(self.tier_totals.items())},
-            "attempted": self.attempted,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "paged": self.paged,
-        }
+        state = super().snapshot_state()
+        state["records"] = [r.to_dict() for r in self.records]
+        state["active"] = [r.subject for r in self.active]
+        state["takeovers"] = [t.to_dict() for t in self.takeovers]
+        state["tier_totals"] = {f"{s}|{t}": v for (s, t), v
+                                in sorted(self.tier_totals.items())}
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.lost_sites = set(state["lost_sites"])
+        super().restore_state(state)
         self.records = [CrossSiteRecord.from_dict(d)
                         for d in state["records"]]
         by_subject = {r.subject: r for r in self.records}
         self.active = [by_subject[s] for s in state["active"]]
         self.takeovers = [_Takeover.from_dict(d)
                           for d in state["takeovers"]]
-        self.tier_totals = {}
-        for key, value in state["tier_totals"].items():
-            s, t = key.split("|", 1)
-            self.tier_totals[(s, t)] = int(value)
-        self.attempted = int(state["attempted"])
-        self.succeeded = int(state["succeeded"])
-        self.failed = int(state["failed"])
-        self.paged = int(state["paged"])
+        self.tier_totals = {tuple(key.split("|", 1)): value
+                            for key, value in state["tier_totals"].items()}

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
+from repro.persist.declared import Declared, HeapToken
 from repro.trace.tracer import NULL_TRACER
 
 __all__ = ["Simulator", "Event", "Signal", "SimProcess", "Interrupt"]
@@ -257,13 +258,17 @@ class SimProcess:
         return f"<SimProcess {name!r} done={done}>"
 
 
-class Simulator:
+class Simulator(Declared):
     """The event loop.
 
     Time is a float number of seconds since the simulation epoch
     (defined by :mod:`repro.sim.calendar` as a Monday, 00:00).  The loop
     never moves time backwards; scheduling in the past raises.
     """
+
+    #: kernel scalars only; pending events are claimed and re-armed by
+    #: the components that own them (see repro.persist)
+    __state__ = ("now", ("next_seq", "_seq"), "events_processed")
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)
@@ -276,11 +281,6 @@ class Simulator:
         #: observability hook; the shared disabled tracer by default so
         #: instrumented components can call it unconditionally
         self.tracer = NULL_TRACER
-        #: self-observability hook (repro.observe.profile.KernelProfiler);
-        #: None keeps the dispatch a direct call -- the hot loop hoists
-        #: this once per run, so attaching mid-run takes effect at the
-        #: next run()/step() boundary
-        self.profiler = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -351,10 +351,7 @@ class Simulator:
             self.events_processed += 1
             if self.tracer.enabled:
                 self.tracer.metrics.counter("sim.events").inc()
-            if self.profiler is None:
-                ev.fn(*ev.args)
-            else:
-                self.profiler.record(ev.fn, ev.args)
+            ev.fn(*ev.args)
             return True
         return False
 
@@ -375,7 +372,6 @@ class Simulator:
         # hoisted per-run: keeps the disabled-tracer loop branch-only
         count_event = (self.tracer.metrics.counter("sim.events").inc
                        if self.tracer.enabled else None)
-        profiler = self.profiler
         try:
             while heap and budget > 0:
                 ev = heap[0]
@@ -391,10 +387,7 @@ class Simulator:
                 budget -= 1
                 if count_event is not None:
                     count_event()
-                if profiler is None:
-                    ev.fn(*ev.args)
-                else:
-                    profiler.record(ev.fn, ev.args)
+                ev.fn(*ev.args)
         finally:
             self._running = False
         if until is not None and self.now < until:
@@ -428,20 +421,6 @@ class Simulator:
             ev._alive = False
         self._heap.clear()
 
-    def snapshot_state(self) -> dict:
-        """Kernel scalars only; pending events are claimed and re-armed
-        by the components that own them (see repro.persist)."""
-        return {
-            "now": self.now,
-            "next_seq": self._seq,
-            "events_processed": self.events_processed,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.now = float(state["now"])
-        self._seq = int(state["next_seq"])
-        self.events_processed = int(state["events_processed"])
-
     # -- conveniences ----------------------------------------------------
 
     def every(self, period: float, fn: Callable[..., Any], *args: Any,
@@ -458,19 +437,19 @@ class Simulator:
         controller.start(offset)
         return controller  # type: ignore[return-value]
 
-    def process_all(self, gens: Iterable[Generator]) -> list[SimProcess]:
-        """Spawn a batch of generator processes."""
-        return [self.spawn(g) for g in gens]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now:.3f} queued={len(self._heap)}>"
 
 
-class Periodic:
+class Periodic(Declared):
     """A cancellable periodic callback (the engine behind crond ticks)."""
 
     __slots__ = ("sim", "period", "fn", "args", "jitter_rng", "jitter",
                  "_event", "cancelled", "fire_count")
+    #: counters plus the pending tick (fn/args are structural -- the
+    #: rebuilt controller supplies them)
+    __state__ = ("fire_count", "cancelled",
+                 ("event", "_event", HeapToken("_tick")))
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[..., Any],
                  args: tuple, jitter_rng=None, jitter: float = 0.0):
@@ -505,35 +484,3 @@ class Periodic:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    # -- persistence -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters plus the pending tick's heap token (fn/args are
-        structural -- the rebuilt controller supplies them)."""
-        ev = self._event if self._event is not None and self._event.alive \
-            else None
-        return {
-            "fire_count": self.fire_count,
-            "cancelled": self.cancelled,
-            "event": ([ev.time, ev.priority, ev.seq]
-                      if ev is not None else None),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-arm the next tick at its exact saved token (the fresh
-        controller's own pending event is cancelled first)."""
-        self.fire_count = int(state["fire_count"])
-        self.cancelled = bool(state["cancelled"])
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        tok = state.get("event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._event = self.sim.schedule_exact(t, prio, seq, self._tick)
-
-    def claimed_seqs(self) -> list[int]:
-        if self._event is not None and self._event.alive:
-            return [self._event.seq]
-        return []

@@ -106,6 +106,10 @@ class RandomStreams:
         for name, bg_state in state["streams"].items():
             self.get(name).bit_generator.state = bg_state
 
+    #: the persistence protocol's names for the same pair
+    snapshot_state = getstate
+    restore_state = setstate
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RandomStreams seed={self.seed} streams={len(self._streams)}>"
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.persist.declared import Declared, LIST
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "DEFAULT_BUCKETS"]
 
@@ -56,11 +58,13 @@ class Gauge:
         return f"<Gauge {self.name}={self.value:g}>"
 
 
-class Histogram:
+class Histogram(Declared):
     """Fixed-bucket histogram: counts of observations per upper bound,
     plus an overflow bucket, total and count for the mean."""
 
     __slots__ = ("name", "bounds", "counts", "count", "total")
+
+    __state__ = (("bounds", LIST), ("counts", LIST), "count", "total")
 
     def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
         if not buckets or list(buckets) != sorted(buckets):
@@ -194,10 +198,8 @@ class MetricsRegistry:
             "counters": {n: c.value
                          for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: {"bounds": list(h.bounds), "counts": list(h.counts),
-                    "count": h.count, "total": h.total}
-                for n, h in sorted(self._histograms.items())},
+            "histograms": {n: h.snapshot_state()
+                           for n, h in sorted(self._histograms.items())},
         }
 
     def restore_state(self, state: dict) -> None:
@@ -205,14 +207,11 @@ class MetricsRegistry:
         self._gauges = {}
         self._histograms = {}
         for name, value in state["counters"].items():
-            self.counter(name).value = float(value)
+            self.counter(name).value = value
         for name, value in state["gauges"].items():
-            self.gauge(name).value = float(value)
+            self.gauge(name).value = value
         for name, h in state["histograms"].items():
-            hist = self.histogram(name, h["bounds"])
-            hist.counts = [int(c) for c in h["counts"]]
-            hist.count = int(h["count"])
-            hist.total = float(h["total"])
+            self.histogram(name, h["bounds"]).restore_state(h)
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)

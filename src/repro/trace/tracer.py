@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.persist.declared import DICT, Declared, NESTED
 from repro.trace.metrics import MetricsRegistry
 
 __all__ = ["Span", "Tracer", "NULL_SPAN", "NULL_TRACER", "install_tracer"]
@@ -109,13 +110,22 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Tracer:
+class Tracer(Declared):
     """Span/instant recorder plus the metrics registry.
 
     ``sim`` supplies the clock; a simless tracer (model-sampled
     experiments like MTTR) can pass ``clock`` or rely on
     :meth:`record_span`'s explicit timestamps.
     """
+
+    #: the full record -- spans (parents encoded as indices into the span
+    #: list), instants, correlations and metrics -- so chaos reports and
+    #: incident reconciliation built after a restore are byte-identical to
+    #: the uninterrupted run.  Correlation insertion order is load-bearing
+    #: (fault_id_for scans for the first suffix match).
+    __state__ = ("enabled", "capture_resumes",
+                 ("next_fault_seq", "_fault_seq"),
+                 ("correlations", "_correlations", DICT), ("metrics", NESTED))
 
     def __init__(self, sim=None, *, enabled: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
@@ -235,35 +245,22 @@ class Tracer:
     # -- persistence ---------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """The full record -- spans (parents encoded as indices into
-        the span list), instants, correlations and metrics -- so chaos
-        reports and incident reconciliation built after a restore are
-        byte-identical to the uninterrupted run.  Refuses to snapshot
-        mid-operation: the open-span stack must be empty."""
+        """Refuses to snapshot mid-operation: the open-span stack must
+        be empty."""
         if self._stack:
             raise ValueError(
                 f"cannot snapshot tracer with {len(self._stack)} open "
                 f"span(s): {[sp.name for sp in self._stack]}")
         index = {id(sp): i for i, sp in enumerate(self.spans)}
-        return {
-            "enabled": self.enabled,
-            "capture_resumes": self.capture_resumes,
-            "next_fault_seq": self._fault_seq,
-            # insertion order is load-bearing: fault_id_for scans for
-            # the first suffix match
-            "correlations": dict(self._correlations),
-            "spans": [[sp.name, sp.start, sp.end, dict(sp.attrs),
-                       index.get(id(sp.parent))] for sp in self.spans],
-            "instants": [[i["name"], i["ts"], dict(i["args"])]
-                         for i in self.instants],
-            "metrics": self.metrics.snapshot_state(),
-        }
+        state = super().snapshot_state()
+        state["spans"] = [[sp.name, sp.start, sp.end, dict(sp.attrs),
+                           index.get(id(sp.parent))] for sp in self.spans]
+        state["instants"] = [[i["name"], i["ts"], dict(i["args"])]
+                             for i in self.instants]
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.enabled = bool(state["enabled"])
-        self.capture_resumes = bool(state["capture_resumes"])
-        self._fault_seq = int(state["next_fault_seq"])
-        self._correlations = dict(state["correlations"])
+        super().restore_state(state)
         self.spans = []
         self._stack = []
         for name, start, end, attrs, parent_idx in state["spans"]:
@@ -273,7 +270,6 @@ class Tracer:
             self.spans.append(sp)
         self.instants = [{"name": name, "ts": float(ts), "args": dict(args)}
                          for name, ts, args in state["instants"]]
-        self.metrics.restore_state(state["metrics"])
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"

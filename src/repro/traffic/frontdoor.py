@@ -20,14 +20,20 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.persist.declared import Declared, SET
+
 __all__ = ["FrontDoor", "GeoFrontDoor", "Allocation"]
 
 #: (app, request count) pairs plus the shed remainder
 Allocation = Tuple[List[Tuple[object, int]], int]
 
 
-class FrontDoor:
+class FrontDoor(Declared):
     """Spreads aggregated demand batches across one application tier."""
+
+    __state__ = (("down", "_down", SET), ("rr_offset", "_rr_offset"),
+                 "routed", "shed_total", "rr_batches", "weighted_batches",
+                 "conditions_applied")
 
     def __init__(self, app_type: str, apps: Sequence,
                  dgspl_fn: Optional[Callable[[], Optional[object]]] = None,
@@ -187,35 +193,25 @@ class FrontDoor:
         """The server set is part of the state: relocation cutovers may
         have swapped instances in, so the (host, app) pairs are saved
         and re-resolved at restore rather than trusting the rebuild."""
-        return {"apps": [[a.host.name, a.name] for a in self.apps],
-                "down": sorted(self._down),
-                "rr_offset": self._rr_offset,
-                "routed": self.routed,
-                "shed_total": self.shed_total,
-                "rr_batches": self.rr_batches,
-                "weighted_batches": self.weighted_batches,
-                "conditions_applied": self.conditions_applied}
+        state = super().snapshot_state()
+        state["apps"] = [[a.host.name, a.name] for a in self.apps]
+        return state
 
-    def restore_state(self, state: dict, resolve_app) -> None:
-        """``resolve_app(host_name, app_name)`` must return the live
-        application instance in the restored site."""
-        self.apps = [resolve_app(host, name)
-                     for host, name in state["apps"]]
-        self.apps.sort(key=lambda a: (a.host.name, a.name))
-        self._down = set(state["down"])
-        self._rr_offset = int(state["rr_offset"])
-        self.routed = int(state["routed"])
-        self.shed_total = int(state["shed_total"])
-        self.rr_batches = int(state["rr_batches"])
-        self.weighted_batches = int(state["weighted_batches"])
-        self.conditions_applied = int(state["conditions_applied"])
+    def restore_state(self, state: dict) -> None:
+        """Servers re-resolve in the restored site's datacentre (the
+        rebuilt door's own servers live there)."""
+        super().restore_state(state)
+        hosts = self.apps[0].host.datacenter.hosts
+        self.apps = sorted((hosts[host].apps[name]
+                            for host, name in state["apps"]),
+                           key=lambda a: (a.host.name, a.name))
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<FrontDoor {self.app_type} servers={len(self.apps)} "
                 f"down={len(self._down)}>")
 
 
-class GeoFrontDoor:
+class GeoFrontDoor(Declared):
     """The federation's global tier above the per-site front doors.
 
     Splits one region's demand batch across *sites* the same way a
@@ -233,6 +229,9 @@ class GeoFrontDoor:
     behaviour: every region's demand goes to its home site, healthy or
     not -- the A/B arm the bench prices.
     """
+
+    __state__ = (("flagged_down", SET), "steered", "shed_total",
+                 "remote_steered")
 
     #: latency deflation scale (ms): a site this far away halves its weight
     LATENCY_SCALE_MS = 100.0
@@ -310,19 +309,3 @@ class GeoFrontDoor:
         self.remote_steered += sum(c for s, c in zip(live, counts)
                                    if s != home)
         return ([(s, c) for s, c in zip(live, counts) if c > 0], 0)
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "flagged_down": sorted(self.flagged_down),
-            "steered": self.steered,
-            "shed_total": self.shed_total,
-            "remote_steered": self.remote_steered,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.flagged_down = set(state["flagged_down"])
-        self.steered = int(state["steered"])
-        self.shed_total = int(state["shed_total"])
-        self.remote_steered = int(state["remote_steered"])
